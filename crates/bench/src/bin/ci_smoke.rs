@@ -3,17 +3,11 @@
 //! scheme × pattern grid, the checked-in `ScenarioSpec` grid file, and
 //! that same grid again with telemetry on (the obs dump byte-diffed,
 //! the perf outcomes pinned to the telemetry-off grid) — each diffed
-//! for determinism at jobs 1 vs 4 — plus the
-//! reduced `BENCH_perf.json` / quick `BENCH_security.json` payloads
-//! diffed byte-for-byte against every retained reference
-//! implementation: the scratch planner, the sorted-vec admission loop,
-//! the unbatched stream generation and the division-based refresh
-//! alignment, plus a quick sat32 throughput cell through its schema
-//! check. Two more legs cover the serving layer: the checked-in specs
-//! piped through the resident scenario service (streamed JSON-lines
-//! byte-identical at 1 vs 4 workers and vs batch) and a midpoint
-//! checkpoint/restore whose resumed report must match the straight run
-//! byte-for-byte.
+//! for determinism at jobs 1 vs 4. Two more legs cover the serving
+//! layer: the checked-in specs piped through the resident scenario
+//! service (streamed JSON-lines byte-identical at 1 vs 4 workers and vs
+//! batch) and a midpoint checkpoint/restore whose resumed report must
+//! match the straight run byte-for-byte.
 //!
 //! ```bash
 //! cargo run --release -p mint-bench --bin ci_smoke
@@ -24,16 +18,10 @@
 //! `mint-exp` fan-out rests on, checked here in seconds instead of the
 //! full test suite's minutes.
 
-use mint_bench::perf::{perf_json, zoo_perf_summaries};
-use mint_bench::redteam::{patterns, redteam_report, security_json};
-use mint_bench::throughput::{
-    check_throughput_schema, measure_cell, saturation32_cell, throughput_json,
-};
+use mint_bench::redteam::patterns;
 use mint_memsys::{
-    parse_any, set_reference_admission_default, set_reference_generation_default,
-    set_reference_planner_default, set_reference_refresh_default, workload_by_name, Checkpoint,
-    MitigationScheme, NormalizedPerf, Scenario, ScenarioGrid, SchedulePolicy, SessionRun,
-    SystemConfig,
+    parse_any, workload_by_name, Checkpoint, MitigationScheme, NormalizedPerf, Scenario,
+    ScenarioGrid, SchedulePolicy, SessionRun, SystemConfig,
 };
 use mint_redteam::{redteam_sweep, RedteamConfig, RedteamReport};
 use mint_serve::{wire, Service};
@@ -332,55 +320,8 @@ fn main() {
         bytes.len(),
     );
 
-    // Planner oracle at artifact granularity: the exact JSON payloads of
-    // BENCH_perf.json (reduced request budget) and BENCH_security.json
-    // (quick red-team config) must be byte-identical whether the channel
-    // plans incrementally (default) or with the scratch reference.
-    let payloads = || {
-        let perf = perf_json(&zoo_perf_summaries(2_000), 2_000);
-        let rc = RedteamConfig::quick();
-        let security = security_json(&redteam_report(&rc), &rc);
-        (perf, security)
-    };
-    let optimized = payloads();
-    // Each retained reference implementation gets its own leg, so a
-    // divergence names the subsystem that caused it.
-    type Knob = fn(bool);
-    let legs: &[(&str, Knob)] = &[
-        ("scratch planner", set_reference_planner_default),
-        ("sorted-vec admission", set_reference_admission_default),
-        ("unbatched generation", set_reference_generation_default),
-        ("division-based refresh", set_reference_refresh_default),
-    ];
-    for (what, set) in legs {
-        set(true);
-        let reference = payloads();
-        set(false);
-        assert_eq!(
-            optimized.0, reference.0,
-            "BENCH_perf.json differs between optimized and {what} reference"
-        );
-        assert_eq!(
-            optimized.1, reference.1,
-            "BENCH_security.json differs between optimized and {what} reference"
-        );
-        println!("oracle[{what}]: BENCH_perf + BENCH_security byte-identical vs reference");
-    }
-
-    // The throughput trajectory's arbitration-dominated cell: one quick
-    // sat32 measurement (whose internal asserts re-check all three run
-    // modes agree on the SimResult) rendered and schema-checked exactly
-    // as figx_throughput writes it.
-    let sat32 = measure_cell(&saturation32_cell(true), 1);
-    let json = throughput_json(std::slice::from_ref(&sat32), 1);
-    check_throughput_schema(&json).expect("sat32 throughput payload passes the schema");
     println!(
-        "throughput: sat32 cell OK ({} requests, schema-checked payload)",
-        sat32.requests
-    );
-
-    println!(
-        "ci_smoke OK: schedulers, redteam grid, scenario file, telemetry dump, serve stream, \
-         checkpoint restore and every retained reference bit-identical"
+        "ci_smoke OK: schedulers, redteam grid, scenario file, telemetry dump, serve stream \
+         and checkpoint restore bit-identical"
     );
 }

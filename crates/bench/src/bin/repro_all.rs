@@ -35,7 +35,6 @@ fn main() {
         ("fig17", mint_bench::perf::fig17),
         ("table9", mint_bench::security::table9),
         ("tracker_zoo", mint_bench::perf::tracker_zoo),
-        ("throughput", mint_bench::throughput::throughput),
         ("redteam", mint_bench::redteam::redteam),
         ("fig18", mint_bench::security::fig18),
         ("fig21", mint_bench::security::fig21),

@@ -25,7 +25,6 @@ pub mod params;
 pub mod perf;
 pub mod redteam;
 pub mod security;
-pub mod throughput;
 
 use mint_analysis::{MinTrhSolver, TargetMttf};
 

@@ -52,6 +52,36 @@ fn unknown_schemes_are_reported_with_their_line() {
 }
 
 #[test]
+fn grids_that_do_not_fit_their_cores_or_seeds_exit_2() {
+    for (name, text, needle) in [
+        (
+            "grid-per-core",
+            "schemes = mint\nworkloads = mcf+lbm\nrequests = 100\n",
+            "per-core workloads",
+        ),
+        (
+            "grid-seeds",
+            "schemes = mint\nworkloads = mcf lbm\nseeds = 1\nrequests = 100\n",
+            "1 seeds for 2 workloads",
+        ),
+    ] {
+        let path = bad_scn(name, text);
+        let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+            .arg(&path)
+            .output()
+            .expect("spawn run_scenario");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("scenario:") && stderr.contains(needle),
+            "{name}: stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name}: nothing on stdout");
+    }
+}
+
+#[test]
 fn missing_arguments_print_usage_and_exit_2() {
     let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
         .output()

@@ -108,7 +108,7 @@ impl MitigationScheme {
     }
 
     /// The canonical evaluation zoo: baseline first (the normalisation
-    /// reference for [`run_workload_grid`](crate::run_workload_grid)), then
+    /// reference of a [`ScenarioGrid`](crate::ScenarioGrid)), then
     /// the paper's MINT configurations, then every baseline tracker.
     #[must_use]
     pub fn zoo() -> Vec<MitigationScheme> {

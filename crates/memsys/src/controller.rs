@@ -23,31 +23,6 @@ use crate::workload::Request;
 use mint_core::{InDramTracker, MitigationDecision};
 use mint_dram::RowId;
 use mint_rng::{Rng64, Xoshiro256StarStar};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default refresh-alignment mode for newly created engines
-/// (see [`set_reference_refresh_default`]).
-static REFERENCE_REFRESH_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Makes every subsequently created [`MemoryController`] (and the channel
-/// scheduler's REF lookahead) locate tREFI boundaries with the retained
-/// division-per-call reference rule instead of the monotone
-/// boundary-tracking fast path.
-///
-/// Like [`set_reference_planner_default`](crate::set_reference_planner_default),
-/// this is a differential-testing oracle: both modes are exact and
-/// bit-identical — `ci_smoke` re-renders the benchmark artifacts under
-/// both and asserts byte equality. Leave it off outside of tests.
-pub fn set_reference_refresh_default(on: bool) {
-    REFERENCE_REFRESH_DEFAULT.store(on, Ordering::SeqCst);
-}
-
-/// Whether newly created engines use the division-per-call reference
-/// refresh alignment (crate-internal: the channel scheduler mirrors the
-/// mode for its REF-window lookahead).
-pub(crate) fn reference_refresh_default() -> bool {
-    REFERENCE_REFRESH_DEFAULT.load(Ordering::SeqCst)
-}
 
 /// Aggregate statistics of one simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -189,10 +164,6 @@ pub struct MemoryController {
     ref_quot: u64,
     ref_base_ps: u64,
     ref_next_ps: u64,
-    /// Locate boundaries with the division-per-call reference rule
-    /// instead (differential-testing oracle, see
-    /// [`set_reference_refresh_default`]).
-    reference_refresh: bool,
 }
 
 /// The victims of `decision` that actually exist in a bank of `rows` rows
@@ -302,7 +273,6 @@ impl MemoryController {
             ref_quot: 0,
             ref_base_ps: 0,
             ref_next_ps: cfg.t_refi_ps,
-            reference_refresh: reference_refresh_default(),
         }
     }
 
@@ -496,15 +466,11 @@ impl MemoryController {
     /// The tREFI index and period base containing `start`, via the
     /// memoised boundary pair: in-period calls are two compares, small
     /// forward crossings step the pair one period at a time, and only
-    /// long jumps (or out-of-order starts) divide. The reference mode
-    /// divides every call — same answer, differential oracle.
+    /// long jumps (or out-of-order starts) divide — always the answer
+    /// of `(start / tREFI, ⌊start / tREFI⌋ · tREFI)`.
     #[inline]
     fn ref_index_at(&mut self, start: u64) -> (u64, u64) {
         let refi = self.cfg.t_refi_ps;
-        if self.reference_refresh {
-            let q = start / refi;
-            return (q, q * refi);
-        }
         if start < self.ref_base_ps || start >= self.ref_next_ps {
             // Step forward for near crossings (the steady-state case:
             // service times advance by less than a few tREFI per call);
@@ -745,9 +711,8 @@ impl MemoryController {
     /// REF cursors, tracker words), the hot ready/open-row arrays, the RNG
     /// stream position, accumulated statistics, the REF memoisation pair
     /// and any undrained events. Config, scheme, decoder and the
-    /// `log_events` / `reference_refresh` knobs are *not* serialised — a
-    /// restore target is rebuilt from the same spec and process-wide
-    /// defaults.
+    /// `log_events` knob are *not* serialised — a restore target is
+    /// rebuilt from the same spec.
     pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
         w.push(self.banks.len() as u64);
         for b in &self.banks {
@@ -928,6 +893,37 @@ mod tests {
         let refi = SystemConfig::table6().t_refi_ps;
         let c = m.service(req(0, 1), refi);
         assert!(c >= refi + SystemConfig::table6().t_rfc_ps);
+    }
+
+    #[test]
+    fn memoized_ref_index_equals_division() {
+        // The memoised boundary pair must answer exactly what a division
+        // per call would, whatever the call sequence: in-period steps,
+        // crossings of one to a few periods (the stepping path), long
+        // jumps past the step budget, and regressions.
+        use mint_exp::prop::{forall, u64_in, usize_in};
+        forall(64, 0x4EF1, |case, rng| {
+            let refi = u64_in(rng, 1, 8_000_000);
+            let cfg = SystemConfig {
+                t_refi_ps: refi,
+                ..SystemConfig::table6()
+            };
+            let mut m = MemoryController::new(cfg, MitigationScheme::Baseline, 7);
+            let mut t = 0u64;
+            for step in 0..300 {
+                t = match usize_in(rng, 0, 4) {
+                    0 => t + u64_in(rng, 0, refi),
+                    1 => t + u64_in(rng, refi, 6 * refi),
+                    2 => t + u64_in(rng, 6 * refi, 1_000 * refi),
+                    _ => u64_in(rng, 0, t + 1),
+                };
+                assert_eq!(
+                    m.ref_index_at(t),
+                    (t / refi, t / refi * refi),
+                    "case {case}, step {step}: t = {t}, tREFI = {refi}"
+                );
+            }
+        });
     }
 
     #[test]

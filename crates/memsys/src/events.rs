@@ -6,11 +6,12 @@
 //! precharges, elapsed REF boundaries, RFM/DRFM mitigation commands and
 //! every individual victim-refresh activation — into a log that is **off by
 //! default** (the perf sweeps pay nothing for it). The
-//! [`Channel`](crate::Channel) forwards the gate and the drain, and the
-//! runner's [`run_sources_observed`](crate::run_sources_observed) pumps the
-//! drained events into a [`ChannelObserver`] after every scheduling
-//! decision, in service order — so an observer sees exactly the command
-//! sequence the device executed, bit-identically for any worker count.
+//! [`Channel`](crate::Channel) forwards the gate and the drain, and a
+//! [`Session`](crate::Session) built with
+//! [`Sim::observer`](crate::Sim::observer) pumps the drained events into a
+//! [`ChannelObserver`] after every scheduling decision, in service order —
+//! so an observer sees exactly the command sequence the device executed,
+//! bit-identically for any worker count.
 //!
 //! This is the ground-truth tap the `mint-redteam` escape oracle hangs off:
 //! an observer that replays the event stream against an exact per-row

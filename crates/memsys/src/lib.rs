@@ -59,7 +59,6 @@ pub mod config;
 pub mod controller;
 pub mod energy;
 pub mod events;
-pub mod runner;
 pub mod scenario;
 pub mod sched;
 pub mod sim;
@@ -72,24 +71,16 @@ pub mod workload;
 pub use address::{AddressDecoder, AddressMapping, AddressOutOfRange, DecodedAddr, DramOrg};
 pub use backend::MitigationBackend;
 pub use config::{MitigationScheme, SystemConfig};
-pub use controller::{set_reference_refresh_default, MemoryController, ServiceOutcome, SimResult};
+pub use controller::{MemoryController, ServiceOutcome, SimResult};
 pub use energy::{EnergyModel, EnergyReport};
 pub use events::{ChannelObserver, MemEvent};
 pub use mint_obs::{Log2Histogram, Section, TelemetryReport, TimeSeries, TELEMETRY_VERSION};
-#[allow(deprecated)]
-pub use runner::{
-    run_sources_observed, run_trace, run_workload, run_workload_grid, run_workload_grid_with,
-    run_workload_with, ObservedRun,
-};
 pub use scenario::{
     parse_any, Scenario, ScenarioFrontend, ScenarioGrid, ScenarioParseError, ScenarioSpec,
     SeedAxis, WorkloadCell,
 };
-pub use sched::{set_reference_planner_default, Channel, Completion, SchedulePolicy};
-pub use sim::{
-    set_reference_admission_default, set_reference_generation_default, CoreOutcome, NormalizedPerf,
-    RunReport, Session, SessionRun, Sim,
-};
+pub use sched::{Channel, Completion, SchedulePolicy};
+pub use sim::{CoreOutcome, NormalizedPerf, RunReport, Session, SessionRun, Sim};
 pub use snapshot::{Checkpoint, SnapshotReader, SnapshotWriter, CHECKPOINT_VERSION};
 pub use system::System;
 pub use telemetry::{EngineTelemetry, SchedTelemetry, SessionTelemetry};

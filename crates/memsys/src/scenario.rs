@@ -120,13 +120,32 @@ impl WorkloadCell {
         }
     }
 
+    /// Checks that the cell fits `cores`: a mix or per-core list names
+    /// exactly one workload per core, a rate cell fits any count.
+    fn check_cores(&self, cores: u32) -> Result<(), String> {
+        let named = match self {
+            WorkloadCell::Rate(_) => return Ok(()),
+            WorkloadCell::Mix(n) => mixes()[n - 1].len(),
+            WorkloadCell::PerCore(names) => names.len(),
+        };
+        if named == cores as usize {
+            Ok(())
+        } else {
+            Err(format!(
+                "workload {} names {named} per-core workloads for {cores} cores",
+                self.to_token()
+            ))
+        }
+    }
+
     /// Resolves the cell into one [`WorkloadSpec`] per core.
     ///
     /// # Panics
     ///
     /// Panics on unknown names or a per-core list whose length differs
-    /// from `cores` — [`parse`](Self::parse) validates names, so this
-    /// only fires for hand-built cells.
+    /// from `cores` — [`parse`](Self::parse) validates names, and
+    /// [`ScenarioSpec::to_sim`] and [`ScenarioGrid::parse`] check the
+    /// length first, so this only fires for hand-built cells.
     #[must_use]
     pub fn resolve(&self, cores: u32) -> Vec<WorkloadSpec> {
         let lookup = |name: &str| {
@@ -326,8 +345,9 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns I/O and parse errors for a trace frontend whose file is
-    /// unreadable or malformed.
+    /// Returns an error for a mix or per-core workload cell that does not
+    /// name one workload per core, and I/O and parse errors for a trace
+    /// frontend whose file is unreadable or malformed.
     pub fn to_sim(&self, cfg: SystemConfig) -> Result<Sim<'static>, Box<dyn std::error::Error>> {
         let mut cfg = cfg;
         if let Some(cores) = self.cores {
@@ -349,6 +369,7 @@ impl ScenarioSpec {
         }
         Ok(match &self.frontend {
             ScenarioFrontend::Workload(cell) => {
+                cell.check_cores(cfg.cores)?;
                 sim.workload(&cell.resolve(cfg.cores), self.requests_per_core)
             }
             ScenarioFrontend::Trace(path) => sim.trace(&read_trace_file(path)?),
@@ -500,7 +521,9 @@ impl ScenarioGrid {
     /// # Errors
     ///
     /// Returns the first malformed line and why it failed; missing
-    /// required keys (`schemes`, `workloads`) report line 0.
+    /// required keys (`schemes`, `workloads`), workload cells that do not
+    /// fit the core count and a `seeds` list of the wrong length report
+    /// line 0.
     pub fn parse(text: &str) -> Result<ScenarioGrid, ScenarioParseError> {
         let pairs = parse_kv(text)?;
         let mut grid = ScenarioGrid::new(SystemConfig::table6());
@@ -584,6 +607,18 @@ impl ScenarioGrid {
         }
         if had_seeds && had_seed_base {
             return Err(file_err("give either `seed_base` or `seeds`, not both"));
+        }
+        for cell in &cells {
+            cell.check_cores(grid.cfg.cores).map_err(|e| file_err(&e))?;
+        }
+        if let SeedAxis::Explicit(seeds) = &grid.seeds {
+            if seeds.len() != cells.len() {
+                return Err(file_err(&format!(
+                    "`seeds` lists {} seeds for {} workloads; give one per workload",
+                    seeds.len(),
+                    cells.len()
+                )));
+            }
         }
         grid.workload_labels = cells.iter().map(WorkloadCell::to_token).collect();
         grid.workloads = cells.iter().map(|c| c.resolve(grid.cfg.cores)).collect();
@@ -1072,6 +1107,33 @@ mod tests {
                 .reason
                 .contains("not both")
         );
+    }
+
+    #[test]
+    fn core_count_mismatches_are_errors_not_panics() {
+        // A cell whose per-core list or mix does not match the effective
+        // core count fails in to_sim instead of tripping resolve.
+        for text in [
+            "workload = mcf+lbm\nrequests = 200\n",
+            "workload = mix1\ncores = 32\n",
+            "workload = lbm+lbm+lbm+lbm\ncores = 2\n",
+        ] {
+            let spec = ScenarioSpec::parse(text).unwrap();
+            let err = spec.to_sim(SystemConfig::table6()).err().expect(text);
+            assert!(err.to_string().contains("per-core workloads"), "{err}");
+        }
+        assert!(ScenarioSpec::parse("workload = mix1\n")
+            .unwrap()
+            .to_sim(SystemConfig::table6())
+            .is_ok());
+        // A grid reports both mismatches as line-0 errors.
+        let e = ScenarioGrid::parse("schemes = mint\nworkloads = lbm mcf+lbm\n").unwrap_err();
+        assert_eq!(e.line, 0);
+        assert!(e.reason.contains("mcf+lbm names 2"), "{}", e.reason);
+        let e =
+            ScenarioGrid::parse("schemes = mint\nworkloads = mcf lbm\nseeds = 1\n").unwrap_err();
+        assert_eq!(e.line, 0);
+        assert!(e.reason.contains("1 seeds for 2 workloads"), "{}", e.reason);
     }
 
     #[test]

@@ -23,25 +23,6 @@ use crate::snapshot::{SnapshotReader, SnapshotWriter};
 use crate::telemetry::SchedTelemetry;
 use crate::timing::{InterBankTiming, TimingState};
 use crate::workload::Request;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default planner mode for newly created channels (see
-/// [`set_reference_planner_default`]).
-static REFERENCE_PLANNER_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Makes every subsequently created [`Channel`] plan with the retained
-/// scratch reference implementation instead of the incremental
-/// start-cache planner (see [`Channel::set_reference_planner`]).
-///
-/// This is the equality-contract verification knob: `ci_smoke` re-runs
-/// the `BENCH_perf.json` / `BENCH_security.json` cells under both
-/// planners and asserts the rendered artifacts are byte-identical, so the
-/// "refactor freely, prove equality" guarantee is checked in-tree on
-/// every push, not just in review. Plain benchmarking and production
-/// sweeps should leave this off.
-pub fn set_reference_planner_default(on: bool) {
-    REFERENCE_PLANNER_DEFAULT.store(on, Ordering::SeqCst);
-}
 
 /// How the channel arbitrates among simultaneously issuable transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +144,7 @@ struct Slot {
 /// [`past_ref_window`]'s division with two compares. Exact for any
 /// `t >= clock`; times beyond the second window (or degenerate configs
 /// with `tRFC >= tREFI`) fall back to the shared rule.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RefWindows {
     /// Start/end of the REF window of the tREFI period containing the
     /// base time, and of the period after it.
@@ -376,10 +357,6 @@ pub struct Channel {
     /// Plan with the retained scratch reference implementation instead
     /// of the incremental planner (differential-testing oracle).
     reference: bool,
-    /// Rebuild the REF-window pair by division on every period crossing
-    /// instead of stepping it (mirrors the engine's refresh oracle, see
-    /// [`set_reference_refresh_default`](crate::controller::set_reference_refresh_default)).
-    reference_refresh: bool,
 }
 
 /// One computed scheduling decision: which slot and when. The per-slot
@@ -448,16 +425,14 @@ impl Channel {
             seed_hint: None,
             plans_computed: 0,
             telemetry: None,
-            reference: REFERENCE_PLANNER_DEFAULT.load(Ordering::SeqCst),
-            reference_refresh: crate::controller::reference_refresh_default(),
+            reference: false,
         }
     }
 
     /// Switches this channel between the incremental planner (the
     /// default) and the retained scratch reference implementation. Both
     /// produce bit-identical schedules; the reference path exists as the
-    /// differential-testing oracle (see [`set_reference_planner_default`]
-    /// for the process-wide knob).
+    /// differential-testing oracle (`tests/sched_oracle.rs`).
     pub fn set_reference_planner(&mut self, on: bool) {
         self.reference = on;
         self.plan_cache = None;
@@ -546,11 +521,7 @@ impl Channel {
     #[inline]
     fn windows(&mut self) -> RefWindows {
         if self.wins.fast && self.clock_ps >= self.wins.w1_start {
-            if self.reference_refresh {
-                self.wins = RefWindows::at(&self.cfg, self.clock_ps);
-            } else {
-                self.wins.advance_to(&self.cfg, self.clock_ps);
-            }
+            self.wins.advance_to(&self.cfg, self.clock_ps);
         }
         self.wins
     }
@@ -787,9 +758,9 @@ impl Channel {
     /// start from scratch with the original allocating algorithm (start
     /// and candidate vectors, selection-time row-buffer probes). Kept as
     /// the differential-testing oracle for [`compute_plan`](Self::compute_plan)
-    /// — the `sched_oracle` prop test and `ci_smoke`'s byte-equality leg
-    /// pin the two paths to identical decisions. Also refreshes the slot
-    /// caches (starvation accounting reads them after any planner).
+    /// — the `sched_oracle` prop test pins the two paths to identical
+    /// decisions. Also refreshes the slot caches (starvation accounting
+    /// reads them after any planner).
     fn compute_plan_scratch(&mut self) -> Option<Plan> {
         self.plans_computed += 1;
         let mut t_min = u64::MAX;
@@ -957,8 +928,7 @@ impl Channel {
     /// planner caches, `exact` flags and the `active` list **in storage
     /// order** — the planner's skip rule and starvation accounting are
     /// scan-order sensitive, so a canonicalised restore could diverge from
-    /// the straight run). The `reference`/`reference_refresh` knobs are
-    /// rebuilt from process-wide defaults at construction, not serialised.
+    /// the straight run). The `reference` planner knob is not serialised.
     pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
         self.engine.snapshot_into(w);
         self.timing.snapshot_into(w);
@@ -1383,6 +1353,38 @@ mod tests {
         let r = req(&ch, 0, 0, 0);
         ch.push(r, 0, 0);
         ch.push(r, 0, 0);
+    }
+
+    #[test]
+    fn stepped_ref_windows_equal_a_fresh_rebuild() {
+        // `advance_to` steps the window pair a period at a time and only
+        // divides past its step budget; after any forward run of clocks
+        // it must equal the pair `at` builds from scratch.
+        use mint_exp::prop::{forall, u64_in, usize_in};
+        forall(64, 0x3EF3, |case, rng| {
+            let t_rfc_ps = u64_in(rng, 1, 500_000);
+            let cfg = SystemConfig {
+                t_rfc_ps,
+                t_refi_ps: u64_in(rng, t_rfc_ps + 1, 8_000_000),
+                ..SystemConfig::table6()
+            };
+            let refi = cfg.t_refi_ps;
+            let mut t = 0u64;
+            let mut wins = RefWindows::at(&cfg, t);
+            for step in 0..300 {
+                t += match usize_in(rng, 0, 3) {
+                    0 => u64_in(rng, 0, refi),
+                    1 => u64_in(rng, refi, 6 * refi),
+                    _ => u64_in(rng, 6 * refi, 1_000 * refi),
+                };
+                wins.advance_to(&cfg, t);
+                assert_eq!(
+                    wins,
+                    RefWindows::at(&cfg, t),
+                    "case {case}, step {step}: t = {t}"
+                );
+            }
+        });
     }
 
     #[test]

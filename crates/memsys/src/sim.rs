@@ -34,10 +34,9 @@
 //! [`NormalizedPerf`], per-core [`CoreOutcome`]s, the energy breakdown,
 //! and (when captured) the executed command events. Runs are
 //! bit-deterministic for a given builder state: the per-core streams and
-//! the channel derive their RNG substreams from the builder seed exactly
-//! like the legacy entry points did, so `Sim`-built runs are
-//! byte-identical to their pre-redesign equivalents (pinned by
-//! `tests/sim_builder.rs`).
+//! the channel derive their RNG substreams from the builder seed, so a
+//! run is byte-identical however a surrounding sweep is parallelised
+//! (pinned against pre-redesign goldens by `tests/system_identity.rs`).
 
 use crate::address::{AddressDecoder, AddressMapping};
 use crate::config::{MitigationScheme, SystemConfig};
@@ -53,42 +52,6 @@ use mint_obs::TelemetryReport;
 use mint_rng::derive_seed;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default admission mode for subsequently started sessions
-/// (see [`set_reference_admission_default`]).
-static REFERENCE_ADMISSION_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Makes every subsequently started [`Session`] arbitrate admission with
-/// the retained sorted-vec reference loop — re-collecting and re-sorting
-/// every pending arrival per decision — instead of the incrementally
-/// maintained `(issue, core)` arrival set, and serve channels via the
-/// retained linear readiness scan instead of the cached per-channel
-/// minimum.
-///
-/// Like [`set_reference_planner_default`](crate::set_reference_planner_default),
-/// this is a differential-testing oracle: both paths admit in the same
-/// order and produce bit-identical [`RunReport`]s (`ci_smoke` and the
-/// admission property test assert it). Leave it off outside of tests.
-pub fn set_reference_admission_default(on: bool) {
-    REFERENCE_ADMISSION_DEFAULT.store(on, Ordering::SeqCst);
-}
-
-/// Process-wide default generation mode for subsequently started sessions
-/// (see [`set_reference_generation_default`]).
-static REFERENCE_GENERATION_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Makes every subsequently started [`Session`] pull requests from its
-/// sources one at a time (the retained unbatched reference) instead of
-/// prefilling a small per-core ring via [`RequestSource::refill`].
-///
-/// Both paths consume bit-identical streams — batching sources draw RNG
-/// values in exactly the one-at-a-time order, and ready-time-dependent
-/// sources refill one request per call by contract — so this knob exists
-/// purely as the differential-testing oracle for that guarantee.
-pub fn set_reference_generation_default(on: bool) {
-    REFERENCE_GENERATION_DEFAULT.store(on, Ordering::SeqCst);
-}
 
 /// Requests a batching source prefills per [`RequestSource::refill`]
 /// call (the per-core ring size of a [`Session`]).
@@ -126,12 +89,9 @@ pub struct CoreOutcome {
     pub requests: u64,
 }
 
-/// The one result shape every [`Sim`] run returns.
-///
-/// The legacy entry points returned three different shapes ([`NormalizedPerf`]
-/// alone, `ObservedRun`, or a grid of rows); `RunReport` unifies them:
-/// the aggregate perf, the per-core breakdown, the energy bill, and —
-/// when [`Sim::capture_events`] is set — the executed command stream.
+/// The one result shape every [`Sim`] run returns: the aggregate perf,
+/// the per-core breakdown, the energy bill, and — when
+/// [`Sim::capture_events`] is set — the executed command stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The aggregate result: duration, controller statistics (command
@@ -167,10 +127,6 @@ pub enum SessionRun {
     /// continue it bit-identically.
     Paused(Checkpoint),
 }
-
-/// The retained-oracle pause refusal (see [`Session::run_until`]).
-const REFERENCE_PAUSE_ERR: &str = "the reference admission oracle has no pause point; \
-     disable set_reference_admission_default for checkpoint/restore";
 
 /// The frontend half of a scenario: where requests come from.
 enum Frontend<'a> {
@@ -419,9 +375,6 @@ struct CoreCtx<'a> {
     /// Prefilled upcoming requests ([`RequestSource::refill`]); drained
     /// before the source is asked again.
     ring: VecDeque<Request>,
-    /// Prefill the ring instead of pulling one request per fetch (off in
-    /// reference-generation mode).
-    batch: bool,
     /// Routed channel of the pending request (cached at fetch so the
     /// admission loop never decodes an address twice).
     route: usize,
@@ -439,10 +392,10 @@ impl CoreCtx<'_> {
     /// Pulls the next request out of the source (respecting the budget)
     /// and stamps its issue time.
     ///
-    /// The batched path drains the prefilled ring first and refills it
-    /// with the core's *current* ready time when empty — sources whose
-    /// request content depends on that time refill one request per call
-    /// by contract, so batching never feeds them a stale clock.
+    /// Drains the prefilled ring first and refills it with the core's
+    /// *current* ready time when empty — sources whose request content
+    /// depends on that time refill one request per call by contract, so
+    /// batching never feeds them a stale clock.
     fn fetch(&mut self) {
         debug_assert!(self.pending.is_none());
         match &mut self.remaining {
@@ -450,16 +403,12 @@ impl CoreCtx<'_> {
             Some(n) => *n -= 1,
             None => {}
         }
-        let req = if self.batch {
-            match self.ring.pop_front() {
-                Some(req) => Some(req),
-                None => {
-                    self.source.refill(self.ready_at, GEN_BATCH, &mut self.ring);
-                    self.ring.pop_front()
-                }
+        let req = match self.ring.pop_front() {
+            Some(req) => Some(req),
+            None => {
+                self.source.refill(self.ready_at, GEN_BATCH, &mut self.ring);
+                self.ring.pop_front()
             }
-        } else {
-            self.source.next_request_at(self.ready_at)
         };
         if let Some(req) = req {
             let issue = self.ready_at + req.think_time_ps;
@@ -468,7 +417,7 @@ impl CoreCtx<'_> {
     }
 }
 
-/// One service step of the optimized run loops: serve the earliest-ready
+/// One service step of the run loops: serve the earliest-ready
 /// channel, forward its drained events, credit the owning core (MLP
 /// stall model) and fetch that core's next request. Returns the serviced
 /// core's index, or `None` when every channel is empty (run over).
@@ -551,126 +500,13 @@ impl Session<'_> {
     /// with system-global bank indices — bit-deterministic regardless of
     /// how a surrounding sweep is parallelised.
     #[must_use]
-    pub fn run(mut self) -> RunReport {
-        if !REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return match self.drive(None, None) {
-                Ok(SessionRun::Finished(report)) => report,
-                Ok(SessionRun::Paused(_)) | Err(_) => {
-                    unreachable!("a run with no stop point neither pauses nor fails")
-                }
-            };
-        }
-        let mut system = System::new(self.cfg, self.scheme, self.policy, self.mapping, self.seed);
-        let single_channel = system.channel_count() == 1;
-        let observe = self.observer.is_some() || self.capture_events;
-        if observe {
-            system.enable_event_log();
-        }
-        // Captured runs produce one event per executed command; reserve a
-        // chunk up front so the early doublings never land in the hot loop.
-        let mut events = Vec::with_capacity(if self.capture_events { 4096 } else { 0 });
-        let mlp = u64::from(self.cfg.core_mlp).max(1);
-        // The common MLP values are powers of two; divide by shift then
-        // (the stall division runs once per serviced request).
-        let mlp_shift = if mlp.is_power_of_two() {
-            Some(mlp.trailing_zeros())
-        } else {
-            None
-        };
-        let batch = !REFERENCE_GENERATION_DEFAULT.load(Ordering::SeqCst);
-        let mut cores: Vec<CoreCtx> = self
-            .sources
-            .into_iter()
-            .map(|source| {
-                let mut c = CoreCtx {
-                    source,
-                    pending: None,
-                    ring: VecDeque::new(),
-                    batch,
-                    route: 0,
-                    ready_at: 0,
-                    remaining: self.budget,
-                    finish: 0,
-                    serviced: 0,
-                };
-                c.fetch();
-                c
-            })
-            .collect();
-
-        {
-            // The retained sorted-vec admission reference (differential
-            // oracle): re-collect and re-sort every pending arrival per
-            // decision, route at admission time, scan every channel for
-            // the next service. Kept verbatim from before the
-            // incremental arrival set. Checkpointing lives only on the
-            // optimized loops ([`Session::run_until`]); this oracle has
-            // no pause point.
-            let mut arrivals: Vec<(u64, usize)> = Vec::with_capacity(cores.len());
-            loop {
-                arrivals.clear();
-                for (i, c) in cores.iter().enumerate() {
-                    if let Some(&(_, issue)) = c.pending.as_ref() {
-                        arrivals.push((issue, i));
-                    }
-                }
-                arrivals.sort_unstable();
-                // Admit the earliest issuable request whose routed channel
-                // can take it — each channel's scheduler must see all of its
-                // arrived traffic before committing a command. (A blocked
-                // channel is never empty, so the service arm below always
-                // makes progress towards unblocking it.)
-                let mut admitted = None;
-                for &(issue, i) in &arrivals {
-                    let ch = if single_channel {
-                        0
-                    } else {
-                        let &(req, _) = cores[i].pending.as_ref().expect("pending checked");
-                        system.route(req.addr)
-                    };
-                    if system.admissible_uncached(ch, issue) {
-                        admitted = Some((i, ch));
-                        break;
-                    }
-                }
-                if let Some((i, ch)) = admitted {
-                    let (req, issue) = cores[i].pending.take().expect("pending checked");
-                    system.push_to(ch, req, i as u32, issue);
-                    continue;
-                }
-                let Some(ch) = system.earliest_ready_uncached() else {
-                    break;
-                };
-                let c = system
-                    .service_channel(ch)
-                    .expect("earliest-ready channel is non-empty");
-                if observe {
-                    for e in system.drain_events_global(ch) {
-                        if let Some(obs) = self.observer.as_deref_mut() {
-                            obs.on_event(&e);
-                        }
-                        if self.capture_events {
-                            events.push(e);
-                        }
-                    }
-                }
-                let core = &mut cores[c.core as usize];
-                // Blocking-miss core with an MLP overlap factor: the core
-                // absorbs 1/MLP of the memory stall.
-                let stall = match mlp_shift {
-                    Some(s) => (c.completion_ps - c.arrival_ps) >> s,
-                    None => (c.completion_ps - c.arrival_ps) / mlp,
-                };
-                core.ready_at = c.arrival_ps + stall;
-                core.finish = core.finish.max(c.completion_ps);
-                core.serviced += 1;
-                core.fetch();
+    pub fn run(self) -> RunReport {
+        match self.drive(None, None) {
+            Ok(SessionRun::Finished(report)) => report,
+            Ok(SessionRun::Paused(_)) | Err(_) => {
+                unreachable!("a run with no stop point neither pauses nor fails")
             }
         }
-
-        // The retained oracle exists only to cross-check admission order;
-        // it carries no telemetry hooks, so no report is collected here.
-        finish_report(self.scheme, system, &cores, events, None)
     }
 
     /// Runs until `stop_after` requests have been serviced system-wide,
@@ -689,14 +525,9 @@ impl Session<'_> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the reference admission oracle is active (its
-    /// retained loop has no pause point) or if any request source does
-    /// not support snapshotting ([`RequestSource::snapshot_state`]
-    /// returns `None`).
+    /// Returns an error if any request source does not support
+    /// snapshotting ([`RequestSource::snapshot_state`] returns `None`).
     pub fn run_until(self, stop_after: u64) -> Result<SessionRun, String> {
-        if REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return Err(REFERENCE_PAUSE_ERR.to_string());
-        }
         self.drive(None, Some(stop_after))
     }
 
@@ -711,12 +542,8 @@ impl Session<'_> {
     /// # Errors
     ///
     /// Returns an error on a malformed or structurally incompatible
-    /// checkpoint, if a request source does not support restore, or if
-    /// the reference admission oracle is active.
+    /// checkpoint, or if a request source does not support restore.
     pub fn resume(self, checkpoint: &Checkpoint) -> Result<RunReport, String> {
-        if REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return Err(REFERENCE_PAUSE_ERR.to_string());
-        }
         match self.drive(Some(checkpoint), None)? {
             SessionRun::Finished(report) => Ok(report),
             SessionRun::Paused(_) => unreachable!("no stop point requested"),
@@ -736,14 +563,11 @@ impl Session<'_> {
         checkpoint: &Checkpoint,
         stop_after: u64,
     ) -> Result<SessionRun, String> {
-        if REFERENCE_ADMISSION_DEFAULT.load(Ordering::SeqCst) {
-            return Err(REFERENCE_PAUSE_ERR.to_string());
-        }
         self.drive(Some(checkpoint), Some(stop_after))
     }
 
-    /// The shared engine behind the optimized entry points: starts fresh
-    /// or from a checkpoint, runs the incremental admission loop, and
+    /// The one run loop behind every entry point: starts fresh or from a
+    /// checkpoint, runs the incremental admission loop, and
     /// optionally pauses once `stop_after` requests have been serviced.
     ///
     /// The pause check sits at the loop top — right after a service
@@ -782,7 +606,6 @@ impl Session<'_> {
         } else {
             None
         };
-        let batch = !REFERENCE_GENERATION_DEFAULT.load(Ordering::SeqCst);
         let mut cores: Vec<CoreCtx> = self
             .sources
             .into_iter()
@@ -790,7 +613,6 @@ impl Session<'_> {
                 source,
                 pending: None,
                 ring: VecDeque::new(),
-                batch,
                 route: 0,
                 ready_at: 0,
                 remaining: self.budget,
@@ -823,8 +645,9 @@ impl Session<'_> {
             // only the *minimum* pending `(issue, core)` key can ever be
             // admitted — a binary min-heap (contiguous, no tree nodes)
             // beats an ordered set here, and peek is free. The heap pops
-            // exactly the key the reference's sorted scan would admit,
-            // so the admit order is identical step for step.
+            // exactly the key a sorted scan of every pending arrival
+            // would admit (`tests/admission_oracle.rs` replays that scan
+            // step for step).
             let mut arrivals: BinaryHeap<Reverse<(u64, usize)>> =
                 BinaryHeap::with_capacity(cores.len());
             for (i, c) in cores.iter().enumerate() {
@@ -873,9 +696,8 @@ impl Session<'_> {
             // a full re-sort per decision — with each pending request's
             // routed channel cached at fetch time. A blocked channel
             // must not starve another channel's admissible arrival, so
-            // the scan walks the set in order; iteration order is
-            // exactly the reference's sorted order, so the admitted
-            // request is identical step for step.
+            // the scan walks the set in order — exactly the order a
+            // per-decision re-sort of the pending arrivals would give.
             let mut arrivals: BTreeSet<(u64, usize)> = BTreeSet::new();
             for (i, c) in cores.iter_mut().enumerate() {
                 if let Some(&(req, issue)) = c.pending.as_ref() {
@@ -948,9 +770,9 @@ fn snapshot_session(
 ) -> Result<Checkpoint, String> {
     let mut w = SnapshotWriter::new();
     w.push(cores.len() as u64);
-    // The generation mode shapes the rings (a ring prefilled under batch
-    // mode would desync a non-batch resume), so the checkpoint pins it.
-    w.push_bool(cores.first().is_some_and(|c| c.batch));
+    // The generation-mode word: sessions always prefill their rings, so
+    // it is a constant `true`, kept so the layout stays version 1.
+    w.push_bool(true);
     system.snapshot_into(&mut w);
     for (i, c) in cores.iter().enumerate() {
         let source = c
@@ -1010,10 +832,11 @@ fn restore_session(
             cores.len()
         ));
     }
-    let batch = r.take_bool()?;
+    if !r.take_bool()? {
+        return Err("session: unbatched-generation checkpoints are unsupported".into());
+    }
     system.restore_from(&mut r)?;
     for c in cores.iter_mut() {
-        c.batch = batch;
         c.source.restore_state(r.take_words()?)?;
         c.pending = if r.take_bool()? {
             let addr = r.take()?;
@@ -1066,8 +889,7 @@ fn restore_session(
     r.finish()
 }
 
-/// Aggregates a completed run into its [`RunReport`] (shared by the
-/// optimized and reference loops).
+/// Aggregates a completed run into its [`RunReport`].
 fn finish_report(
     scheme: MitigationScheme,
     mut system: System,
@@ -1375,13 +1197,17 @@ mod tests {
     }
 
     #[test]
-    fn the_reference_admission_oracle_refuses_to_pause() {
-        // (Concurrent tests in this binary may observe the flag while
-        // it is set — they would take the reference path and produce
-        // identical reports, so the brief flip is benign.)
-        set_reference_admission_default(true);
-        let refused = Sim::ddr5().workload(&rate4(lbm()), 10).build().run_until(5);
-        set_reference_admission_default(false);
-        assert!(refused.unwrap_err().contains("no pause point"));
+    fn checkpoints_of_the_unbatched_generation_mode_are_refused() {
+        let build = || Sim::ddr5().workload(&rate4(lbm()), 50).seed(7).build();
+        let SessionRun::Paused(mut ckpt) = build().run_until(10).expect("pausable run") else {
+            panic!("a mid-run stop point must pause");
+        };
+        // Word 0 is the core count, word 1 the generation-mode flag.
+        assert_eq!(ckpt.words[1], 1, "checkpoints record batched generation");
+        ckpt.words[1] = 0;
+        let err = build()
+            .resume(&ckpt)
+            .expect_err("unbatched mode is refused");
+        assert!(err.contains("unbatched"), "got: {err}");
     }
 }

@@ -139,17 +139,6 @@ impl System {
         self.channels[ch].has_room() && issue_ps <= self.cached_next_start(ch)
     }
 
-    /// [`admissible`](Self::admissible) recomputed straight from the
-    /// channel planner — the retained reference rule the admission
-    /// oracle diffs the cache against.
-    #[must_use]
-    pub(crate) fn admissible_uncached(&mut self, ch: usize, issue_ps: u64) -> bool {
-        self.channels[ch].has_room()
-            && self.channels[ch]
-                .next_start_ps()
-                .map_or(true, |s| issue_ps <= s)
-    }
-
     /// Enqueues a request on its routed channel.
     ///
     /// # Panics
@@ -189,22 +178,6 @@ impl System {
             }
         }
         best_ch
-    }
-
-    /// [`earliest_ready`](Self::earliest_ready) recomputed by the
-    /// retained linear scan over the channel planners — the reference
-    /// rule the admission oracle diffs the cache against.
-    #[must_use]
-    pub(crate) fn earliest_ready_uncached(&mut self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for ch in 0..self.channels.len() {
-            if let Some(s) = self.channels[ch].next_start_ps() {
-                if best.map_or(true, |(b, _)| s < b) {
-                    best = Some((s, ch));
-                }
-            }
-        }
-        best.map(|(_, ch)| ch)
     }
 
     /// Performs one scheduling decision on channel `ch` (see
@@ -304,6 +277,8 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mint_exp::prop::{forall, u32_in, u64_in, usize_in};
+    use mint_rng::Rng64;
 
     fn system(cfg: SystemConfig) -> System {
         System::new(
@@ -443,5 +418,62 @@ mod tests {
         let other = req(&sys, bpc, 1, 0);
         sys.push(other, 1, t0);
         assert!(!sys.admissible(1, t0));
+    }
+
+    #[test]
+    fn readiness_cache_matches_asking_every_planner() {
+        // `admissible` and `earliest_ready` answer from the per-channel
+        // next-start cache that pushes and services stale. The uncached
+        // rule asks every channel planner directly. Over random
+        // push/service interleavings on 1, 2 and 4 channels the two must
+        // agree at every step, on both sides of each planned start.
+        forall(24, 0xCAC4E, |case, rng| {
+            let cfg = SystemConfig {
+                channels: 1 << usize_in(rng, 0, 3),
+                queue_depth: u32_in(rng, 1, 9),
+                ..SystemConfig::table6()
+            };
+            let mut sys = system(cfg);
+            let mut arrival = cfg.t_rfc_ps;
+            for step in 0..400 {
+                let starts: Vec<Option<u64>> = sys
+                    .channels
+                    .iter_mut()
+                    .map(Channel::next_start_ps)
+                    .collect();
+                let want_ready = starts
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(ch, s)| s.map(|s| (s, ch)))
+                    .min()
+                    .map(|(_, ch)| ch);
+                assert_eq!(
+                    sys.earliest_ready(),
+                    want_ready,
+                    "case {case}, step {step}: earliest_ready"
+                );
+                for (ch, &start) in starts.iter().enumerate() {
+                    let room = sys.channel(ch).has_room();
+                    let at = start.unwrap_or(arrival);
+                    for issue in [arrival, at, at + 1] {
+                        let want = room && start.map_or(true, |s| issue <= s);
+                        assert_eq!(
+                            sys.admissible(ch, issue),
+                            want,
+                            "case {case}, step {step}: admissible({ch}, {issue})"
+                        );
+                    }
+                }
+                let bank = u32_in(rng, 0, cfg.total_banks());
+                let r = req(&sys, bank, u32_in(rng, 0, 4), u32_in(rng, 0, 8));
+                let ch = sys.route(r.addr);
+                if sys.channel(ch).has_room() && rng.gen_bool(0.6) {
+                    arrival += u64_in(rng, 0, 6_000);
+                    sys.push_to(ch, r, 0, arrival);
+                } else if let Some(ready) = sys.earliest_ready() {
+                    sys.service_channel(ready);
+                }
+            }
+        });
     }
 }

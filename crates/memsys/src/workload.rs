@@ -67,9 +67,9 @@ pub fn workload_by_name(name: &str) -> Option<WorkloadSpec> {
 /// The synthetic saturation workload (`saturate`): MPKI far beyond any
 /// SPEC rate entry, so every core re-arrives the instant it can and the
 /// transaction queue stays pinned at its depth. This is the
-/// arbitration-dominated stress cell of the throughput trajectory
-/// (`examples/scenarios/saturation32.scn`); it is *not* part of the
-/// 17-workload evaluation zoo.
+/// arbitration-dominated stress cell of `examples/scenarios/saturation32.scn`
+/// and of the `saturate` benchmark workload (`perfbench`); it is *not* part
+/// of the 17-workload evaluation zoo.
 #[must_use]
 pub fn saturation_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -151,12 +151,12 @@ pub struct Request {
 /// frontend-agnostic.
 pub trait RequestSource {
     /// The next request, or `None` when the stream is exhausted
-    /// (synthetic streams never are; the runner bounds them by request
+    /// (synthetic streams never are; the session bounds them by request
     /// count).
     fn next_request(&mut self) -> Option<Request>;
 
     /// The next request, told when the issuing core is ready
-    /// (`ready_at_ps`). The runner issues the returned request at
+    /// (`ready_at_ps`). The session issues the returned request at
     /// `ready_at_ps + think_time_ps`, so a source that wants its request
     /// on the bus at an *absolute* time `T` can override this and return
     /// `think_time_ps = T.saturating_sub(ready_at_ps)` — which is how
@@ -550,6 +550,7 @@ mod tests {
     use super::*;
     use crate::address::AddressMapping;
     use crate::config::SystemConfig;
+    use mint_exp::prop::{f64_in, forall, u32_in, u64_in, usize_in};
 
     fn decoder() -> AddressDecoder {
         AddressDecoder::new(&SystemConfig::table6(), AddressMapping::default())
@@ -745,6 +746,125 @@ mod tests {
             assert!(e.reason.contains(needle), "{text:?} → {}", e.reason);
             assert!(e.to_string().contains("trace line"));
         }
+    }
+
+    #[test]
+    fn core_stream_refill_equals_the_sequential_stream() {
+        // A batch refill must hand out exactly the requests one-at-a-time
+        // pulls would, in order, whatever the spec, topology, seed and
+        // batch sizes — and leave the stream at the same position.
+        forall(48, 0x9E4B, |case, rng| {
+            let pool = spec_rate_workloads();
+            let spec = WorkloadSpec {
+                row_buffer_locality: f64_in(rng, 0.0, 1.0),
+                read_fraction: f64_in(rng, 0.0, 1.0),
+                ..pool[usize_in(rng, 0, pool.len())]
+            };
+            let cfg = SystemConfig {
+                channels: 1 << usize_in(rng, 0, 3),
+                ranks: 1 << usize_in(rng, 0, 3),
+                ..SystemConfig::table6()
+            };
+            let mappings = AddressMapping::all();
+            let mapping = mappings[usize_in(rng, 0, mappings.len())];
+            let decoder = AddressDecoder::new(&cfg, mapping);
+            let mut sequential = CoreStream::new(spec, decoder, 1_000, u64_in(rng, 0, u64::MAX));
+            let mut batched = sequential.clone();
+            let mut ring = VecDeque::new();
+            for round in 0..40 {
+                let max = usize_in(rng, 0, 40);
+                batched.refill(u64_in(rng, 0, u64::MAX), max, &mut ring);
+                assert_eq!(ring.len(), max, "case {case}, round {round}");
+                for got in ring.drain(..) {
+                    assert_eq!(
+                        Some(got),
+                        sequential.next_request(),
+                        "case {case}, round {round}"
+                    );
+                }
+            }
+            assert_eq!(batched.snapshot_state(), sequential.snapshot_state());
+        });
+    }
+
+    #[test]
+    fn trace_refill_equals_the_sequential_replay_and_runs_dry_mid_batch() {
+        let mut dry_mid_batch = 0;
+        forall(48, 0x7EAC, |case, rng| {
+            let entries: Vec<TraceEntry> = (0..usize_in(rng, 0, 200))
+                .map(|_| TraceEntry {
+                    gap_cycles: u64_in(rng, 0, 1_000),
+                    is_read: rng.gen_bool(0.5),
+                    addr: u64_in(rng, 0, 1 << 34) & !63,
+                })
+                .collect();
+            let cycle_ps = u64_in(rng, 1, 1_000);
+            let mut sequential = TraceSource::new(entries.clone(), cycle_ps);
+            let mut batched = TraceSource::new(entries, cycle_ps);
+            let mut ring = VecDeque::new();
+            loop {
+                let max = usize_in(rng, 1, 33);
+                batched.refill(0, max, &mut ring);
+                let got = ring.len();
+                for req in ring.drain(..) {
+                    assert_eq!(Some(req), sequential.next_request(), "case {case}");
+                }
+                if got < max {
+                    // The trace ran dry inside this batch: both sides are
+                    // exhausted, and later refills stay empty.
+                    dry_mid_batch += usize::from(got > 0);
+                    assert_eq!(sequential.next_request(), None, "case {case}");
+                    batched.refill(0, max, &mut ring);
+                    assert!(ring.is_empty(), "case {case}");
+                    break;
+                }
+            }
+        });
+        assert!(dry_mid_batch > 0, "some trace must run dry mid-batch");
+    }
+
+    #[test]
+    fn default_refill_pulls_one_request_at_the_callers_ready_time() {
+        /// Paces to the ready time it is given, like an absolute-slot
+        /// attacker, and keeps the default `refill`.
+        struct Pinned {
+            asked: Vec<u64>,
+            left: u32,
+        }
+        impl RequestSource for Pinned {
+            fn next_request(&mut self) -> Option<Request> {
+                self.next_request_at(0)
+            }
+            fn next_request_at(&mut self, ready_at_ps: u64) -> Option<Request> {
+                self.asked.push(ready_at_ps);
+                self.left = self.left.checked_sub(1)?;
+                Some(Request {
+                    addr: ready_at_ps & !63,
+                    is_read: true,
+                    think_time_ps: 0,
+                })
+            }
+        }
+        forall(32, 0xDEF1, |case, rng| {
+            let mut source = Pinned {
+                asked: Vec::new(),
+                left: u32_in(rng, 0, 8),
+            };
+            let mut ring = VecDeque::new();
+            for round in 0..10 {
+                let ready = u64_in(rng, 0, u64::MAX);
+                let had = source.left;
+                source.asked.clear();
+                source.refill(ready, usize_in(rng, 1, 64), &mut ring);
+                assert_eq!(source.asked, [ready], "case {case}, round {round}");
+                let want = (had > 0).then_some(Request {
+                    addr: ready & !63,
+                    is_read: true,
+                    think_time_ps: 0,
+                });
+                assert!(ring.drain(..).eq(want), "case {case}, round {round}");
+            }
+        });
     }
 
     #[test]

@@ -589,6 +589,44 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_that_does_not_fit_the_cores_fails_alone() {
+        // Two per-core workloads on the 4-core default: the job answers
+        // an error and the valid job queued behind it still runs.
+        let input = [
+            Envelope::Submit {
+                id: 1,
+                spec: "scheme = mint\nworkload = mcf+lbm\nrequests = 200".to_string(),
+                seed_base: None,
+                timeout_ms: None,
+            }
+            .to_line(),
+            Envelope::Submit {
+                id: 2,
+                spec: CELL.to_string(),
+                seed_base: None,
+                timeout_ms: None,
+            }
+            .to_line(),
+        ]
+        .join("\n");
+        for workers in [1, 2] {
+            let (summary, lines) = serve_lines(workers, &input);
+            assert_eq!(summary.submitted, 2);
+            assert_eq!(lines.len(), 2, "workers = {workers}: {lines:?}");
+            assert!(
+                lines[0].contains("\"id\":1,\"ok\":false") && lines[0].contains("per-core"),
+                "workers = {workers}: {}",
+                lines[0]
+            );
+            assert!(
+                lines[1].contains("\"id\":2,\"ok\":true"),
+                "workers = {workers}: {}",
+                lines[1]
+            );
+        }
+    }
+
+    #[test]
     fn telemetry_jobs_carry_stats_and_stats_verb_answers() {
         let telem_cell = format!("{CELL}\ntelemetry = on");
         let input = [

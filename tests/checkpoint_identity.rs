@@ -14,11 +14,12 @@
 //! cover the stateless baseline, MINT's REF-riding sampler, RFM's RAA
 //! counters, MC-PARA's per-ACT RNG, and two zoo trackers with tables
 //! (Graphene) and FIFOs (PrIDE); topologies cover the Table VI 1×1 DIMM
-//! and a 2-channel × 2-rank scale-out.
+//! and a 2-channel × 2-rank scale-out. A digest test pins the `MINTCKPT`
+//! bytes themselves, not just their round trip.
 
 use mint_memsys::{
     parse_trace, workload_by_name, Checkpoint, MitigationScheme, RunReport, Session, SessionRun,
-    Sim, SystemConfig,
+    Sim, SystemConfig, CHECKPOINT_VERSION,
 };
 
 const SCHEMES: [MitigationScheme; 6] = [
@@ -260,6 +261,51 @@ fn trace_frontends_checkpoint_too() {
             SessionRun::Finished(_) => panic!("trace split at {k} finished early"),
         }
     }
+}
+
+/// FNV-1a over the serialized checkpoint: a dependency-free digest that
+/// moves with any byte of the layout.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn mintckpt_bytes_of_a_midpoint_pause_are_pinned() {
+    // The round-trip tests above would pass for any self-consistent
+    // encoding; this pins the bytes themselves. Both digests were
+    // recorded with `CHECKPOINT_VERSION` 1: any change to the layout must
+    // bump the version and re-record them.
+    assert_eq!(CHECKPOINT_VERSION, 1);
+    let mcf = workload_by_name("mcf").expect("workload in the suite");
+    let pause = |cfg: SystemConfig, capture: bool| {
+        let mut sim = Sim::new(cfg)
+            .scheme(MitigationScheme::Mint)
+            .workload(&[mcf; 4], 2_000)
+            .seed(77);
+        if capture {
+            sim = sim.capture_events();
+        }
+        let SessionRun::Paused(ckpt) = sim.build().run_until(4_000).expect("pausable run") else {
+            panic!("a midpoint stop must pause");
+        };
+        ckpt.to_bytes()
+    };
+    // ci_smoke's MINT/mcf cell, paused at its midpoint.
+    let bytes = pause(topology(1, 1), false);
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (4_744, 0xd8a3_cfd8_dfa8_7ad5),
+        "MINTCKPT layout of the 1ch x 1rk midpoint pause changed"
+    );
+    // The same cell on a 2-channel x 2-rank DIMM with the event log on.
+    let bytes = pause(topology(2, 2), true);
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (225_000, 0x6f8c_eb65_9032_1cc6),
+        "MINTCKPT layout of the 2ch x 2rk captured midpoint pause changed"
+    );
 }
 
 #[test]

@@ -6,11 +6,11 @@
 //! planner, retained verbatim as the reference
 //! (`Channel::set_reference_planner`). This suite drives **two channels
 //! through identical random push/service interleavings** — one per
-//! planner — across policies, schemes, mappings and queue depths, and
-//! asserts they agree at every observable step: the admission lookahead
-//! (`next_start_ps`), every [`Completion`] field, and the final
-//! [`SimResult`]. Any divergence prints the deterministic case index
-//! that replays it exactly (see `mint_exp::prop`).
+//! planner — across policies, the whole scheme zoo, mappings and queue
+//! depths, and asserts they agree at every observable step: the
+//! admission lookahead (`next_start_ps`), every [`Completion`] field,
+//! and the final [`SimResult`]. Any divergence prints the deterministic
+//! case index that replays it exactly (see `mint_exp::prop`).
 
 use mint_exp::prop::{forall, u64_in, usize_in};
 use mint_memsys::{
@@ -31,12 +31,7 @@ fn random_request(rng: &mut impl Rng64) -> Request {
 #[test]
 fn incremental_planner_matches_scratch_reference_stepwise() {
     let policies = [SchedulePolicy::Fcfs, SchedulePolicy::frfcfs()];
-    let schemes = [
-        MitigationScheme::Baseline,
-        MitigationScheme::Mint,
-        MitigationScheme::MintRfm { rfm_th: 16 },
-        MitigationScheme::McPara { p: 1.0 / 40.0 },
-    ];
+    let schemes = MitigationScheme::zoo();
     let mappings = [
         AddressMapping::RoBaRaCoCh,
         AddressMapping::RoCoRaBaCh,
