@@ -1,13 +1,14 @@
-//! CI smoke: one tiny workload grid through **both** schedulers, the
-//! same grid scaled to a 2-channel × 2-rank DIMM, a small red-team
-//! scheme × pattern grid, the checked-in `ScenarioSpec` grid file, and
-//! that same grid again with telemetry on (the obs dump byte-diffed,
-//! the perf outcomes pinned to the telemetry-off grid) — each diffed
-//! for determinism at jobs 1 vs 4. Two more legs cover the serving
-//! layer: the checked-in specs piped through the resident scenario
-//! service (streamed JSON-lines byte-identical at 1 vs 4 workers and vs
-//! batch) and a midpoint checkpoint/restore whose resumed report must
-//! match the straight run byte-for-byte.
+//! CI smoke: one tiny workload grid through both scheduling policies
+//! (FCFS and FR-FCFS), the same grid scaled to a 2-channel × 2-rank
+//! DIMM, a small red-team scheme × pattern grid, the checked-in
+//! `ScenarioSpec` grid file, and that same grid again with telemetry on
+//! (the obs dump byte-diffed, the perf outcomes pinned to the
+//! telemetry-off grid) — each diffed for determinism at jobs 1 vs 4.
+//! Two more legs cover the serving layer: the checked-in specs piped
+//! through the resident scenario service (streamed JSON-lines
+//! byte-identical at 1 vs 4 workers and vs batch) and a midpoint
+//! checkpoint/restore whose resumed report must match the straight run
+//! byte-for-byte.
 //!
 //! ```bash
 //! cargo run --release -p mint-bench --bin ci_smoke

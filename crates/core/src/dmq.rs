@@ -1,7 +1,7 @@
 //! The Delayed Mitigation Queue (paper §VI): refresh-postponement support
 //! for low-cost trackers.
 
-use crate::{InDramTracker, MitigationDecision};
+use crate::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 
@@ -185,38 +185,13 @@ impl<T: InDramTracker> InDramTracker for Dmq<T> {
 
     /// `[acts_since_ref, overflow_drops, queue_len, queue…, inner…]` —
     /// each queued decision in its three-word encoding, inner state last.
-    fn snapshot_state(&self) -> Vec<u64> {
-        let mut words = vec![
-            u64::from(self.acts_since_ref),
-            self.overflow_drops,
-            self.queue.len() as u64,
-        ];
-        for d in &self.queue {
-            words.extend(d.encode());
-        }
-        words.extend(self.inner.snapshot_state());
-        words
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let truncated = || "DMQ: truncated state".to_string();
-        let (&acts, rest) = state.split_first().ok_or_else(truncated)?;
-        let (&drops, rest) = rest.split_first().ok_or_else(truncated)?;
-        let (&qlen, mut rest) = rest.split_first().ok_or_else(truncated)?;
-        let qlen = usize::try_from(qlen).map_err(|_| "DMQ: queue length overflow".to_string())?;
-        if qlen > self.depth {
-            return Err(format!("DMQ: {qlen} queued exceeds depth {}", self.depth));
-        }
-        self.acts_since_ref =
-            u32::try_from(acts).map_err(|_| format!("DMQ: acts_since_ref {acts} exceeds u32"))?;
-        self.overflow_drops = drops;
-        self.queue.clear();
-        for _ in 0..qlen {
-            let (chunk, tail) = rest.split_first_chunk::<3>().ok_or_else(truncated)?;
-            self.queue.push_back(MitigationDecision::decode(*chunk)?);
-            rest = tail;
-        }
-        self.inner.restore_state(rest)
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.u32(&mut self.acts_since_ref)?;
+        c.u64(&mut self.overflow_drops)?;
+        let queued = c.count(self.queue.len(), self.depth, "DMQ queue")?;
+        self.queue.resize(queued, MitigationDecision::None);
+        self.queue.iter_mut().try_for_each(|d| d.walk(c))?;
+        self.inner.walk_state(c)
     }
 }
 

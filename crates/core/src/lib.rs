@@ -22,7 +22,9 @@
 //!
 //! The [`InDramTracker`] trait is the interface every tracker in this
 //! repository implements (the baselines live in `mint-trackers`), and is what
-//! the Monte-Carlo engine in `mint-sim` drives.
+//! the Monte-Carlo engine in `mint-sim` drives. [`StateCursor`] is the
+//! checkpoint cursor every tracker — and every stateful layer of
+//! `mint-memsys` — walks its dynamic state through.
 //!
 //! # Examples
 //!
@@ -47,6 +49,7 @@
 //! ```
 
 mod config;
+mod cursor;
 mod dmq;
 mod mint;
 mod rfm;
@@ -54,6 +57,7 @@ mod rowpress;
 mod tracker;
 
 pub use config::MintConfig;
+pub use cursor::StateCursor;
 pub use dmq::{Dmq, DMQ_ENTRIES};
 pub use mint::Mint;
 pub use rfm::MintRfm;

@@ -1,6 +1,6 @@
 //! The Minimalist In-DRAM Tracker (paper §V).
 
-use crate::{InDramTracker, MintConfig, MitigationDecision};
+use crate::{InDramTracker, MintConfig, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 
@@ -189,33 +189,15 @@ impl InDramTracker for Mint {
         self.begin_window(rng);
     }
 
-    /// `[san, can, sar_valid, sar_row, transitive_distance]`.
-    fn snapshot_state(&self) -> Vec<u64> {
-        vec![
-            u64::from(self.san),
-            u64::from(self.can),
-            u64::from(self.sar.is_some()),
-            u64::from(self.sar.map_or(0, |r| r.0)),
-            u64::from(self.transitive_distance),
-        ]
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let [san, can, sar_valid, sar_row, dist] = state else {
-            return Err(format!("MINT: expected 5 state words, got {}", state.len()));
-        };
-        let word32 = |w: u64, what: &str| {
-            u32::try_from(w).map_err(|_| format!("MINT: {what} {w} exceeds u32"))
-        };
-        self.san = word32(*san, "SAN")?;
-        self.can = word32(*can, "CAN")?;
-        self.sar = match sar_valid {
-            0 => None,
-            1 => Some(RowId(word32(*sar_row, "SAR")?)),
-            v => return Err(format!("MINT: SAR valid bit {v} not 0/1")),
-        };
-        self.transitive_distance = word32(*dist, "transitive distance")?;
-        Ok(())
+    /// `[san, can, sar_valid, sar_row, transitive_distance]` (the SAR row
+    /// word is zero while the register is invalid).
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.u32(&mut self.san)?;
+        c.u32(&mut self.can)?;
+        let mut sar = self.sar.unwrap_or_default();
+        let valid = c.padded(self.sar.is_some(), |c| c.u32(&mut sar.0))?;
+        self.sar = valid.then_some(sar);
+        c.u32(&mut self.transitive_distance)
     }
 }
 

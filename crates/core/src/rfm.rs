@@ -1,6 +1,6 @@
 //! MINT co-designed with DDR5 Refresh Management (paper §VII).
 
-use crate::{InDramTracker, Mint, MintConfig, MitigationDecision};
+use crate::{InDramTracker, Mint, MintConfig, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 
@@ -148,37 +148,16 @@ impl InDramTracker for MintRfm {
 
     /// `[acts_in_window, queue_len, queue…, mint…]` — each delayed decision
     /// in its three-word encoding, the inner MINT registers last.
-    fn snapshot_state(&self) -> Vec<u64> {
-        let mut words = vec![
-            u64::from(self.acts_in_window),
-            self.delay_queue.len() as u64,
-        ];
-        for d in &self.delay_queue {
-            words.extend(d.encode());
-        }
-        words.extend(self.mint.snapshot_state());
-        words
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let truncated = || "MINT+RFM: truncated state".to_string();
-        let (&acts, rest) = state.split_first().ok_or_else(truncated)?;
-        let (&qlen, mut rest) = rest.split_first().ok_or_else(truncated)?;
-        let qlen =
-            usize::try_from(qlen).map_err(|_| "MINT+RFM: queue length overflow".to_string())?;
-        if qlen > crate::DMQ_ENTRIES {
-            return Err(format!("MINT+RFM: {qlen} delayed exceeds the DMQ depth"));
-        }
-        self.acts_in_window = u32::try_from(acts)
-            .map_err(|_| format!("MINT+RFM: acts_in_window {acts} exceeds u32"))?;
-        self.delay_queue.clear();
-        for _ in 0..qlen {
-            let (chunk, tail) = rest.split_first_chunk::<3>().ok_or_else(truncated)?;
-            self.delay_queue
-                .push_back(MitigationDecision::decode(*chunk)?);
-            rest = tail;
-        }
-        self.mint.restore_state(rest)
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.u32(&mut self.acts_in_window)?;
+        let delayed = c.count(
+            self.delay_queue.len(),
+            crate::DMQ_ENTRIES,
+            "MINT+RFM delay queue",
+        )?;
+        self.delay_queue.resize(delayed, MitigationDecision::None);
+        self.delay_queue.iter_mut().try_for_each(|d| d.walk(c))?;
+        self.mint.walk_state(c)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The tracker interface shared by MINT and every baseline.
 
+use crate::StateCursor;
 use mint_dram::RowId;
 use mint_rng::Rng64;
 
@@ -95,45 +96,36 @@ impl MitigationDecision {
         self.victim_rows(blast_radius).len() as u64
     }
 
-    /// Packs the decision into its fixed three-word checkpoint encoding
+    /// Walks the decision as its fixed three-word checkpoint form
     /// `[tag, row, distance]` (tags: 0 `None`, 1 `Aggressor`, 2
-    /// `Transitive`, 3 `VictimRefresh`), the form trackers use inside
-    /// [`InDramTracker::snapshot_state`].
-    #[must_use]
-    pub fn encode(&self) -> [u64; 3] {
-        match *self {
-            MitigationDecision::None => [0, 0, 0],
-            MitigationDecision::Aggressor(r) => [1, u64::from(r.0), 0],
-            MitigationDecision::Transitive { around, distance } => {
-                [2, u64::from(around.0), u64::from(distance)]
-            }
-            MitigationDecision::VictimRefresh(v) => [3, u64::from(v.0), 0],
-        }
-    }
-
-    /// Unpacks the three-word form produced by [`encode`](Self::encode).
+    /// `Transitive`, 3 `VictimRefresh`; unused fields zero) — how queued
+    /// decisions sit inside [`InDramTracker::walk_state`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the corruption if the tag is unknown or a
-    /// field exceeds its 32-bit range.
-    pub fn decode(words: [u64; 3]) -> Result<Self, String> {
-        let row = |w: u64| -> Result<RowId, String> {
-            u32::try_from(w)
-                .map(RowId)
-                .map_err(|_| format!("decision row {w} exceeds u32"))
+    /// Loading errors on a truncated stream, an unknown tag or a field
+    /// beyond 32 bits.
+    pub(crate) fn walk(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let (mut tag, mut row, mut distance) = match *self {
+            MitigationDecision::None => (0, 0, 0),
+            MitigationDecision::Aggressor(r) => (1, r.0, 0),
+            MitigationDecision::Transitive { around, distance } => (2, around.0, distance),
+            MitigationDecision::VictimRefresh(v) => (3, v.0, 0),
         };
-        match words[0] {
-            0 => Ok(MitigationDecision::None),
-            1 => Ok(MitigationDecision::Aggressor(row(words[1])?)),
-            2 => Ok(MitigationDecision::Transitive {
-                around: row(words[1])?,
-                distance: u32::try_from(words[2])
-                    .map_err(|_| format!("transitive distance {} exceeds u32", words[2]))?,
-            }),
-            3 => Ok(MitigationDecision::VictimRefresh(row(words[1])?)),
-            tag => Err(format!("unknown decision tag {tag}")),
-        }
+        c.u64(&mut tag)?;
+        c.u32(&mut row)?;
+        c.u32(&mut distance)?;
+        *self = match tag {
+            0 => MitigationDecision::None,
+            1 => MitigationDecision::Aggressor(RowId(row)),
+            2 => MitigationDecision::Transitive {
+                around: RowId(row),
+                distance,
+            },
+            3 => MitigationDecision::VictimRefresh(RowId(row)),
+            tag => return Err(format!("unknown decision tag {tag}")),
+        };
+        Ok(())
     }
 }
 
@@ -209,39 +201,19 @@ pub trait InDramTracker {
     /// Restores the power-on state (new window, cleared registers).
     fn reset(&mut self, rng: &mut dyn Rng64);
 
-    /// Serializes every dynamic register of the tracker into a flat word
-    /// vector — the tracker half of the simulator checkpoint contract.
+    /// Walks every dynamic register through a checkpoint cursor (see
+    /// [`StateCursor`]): the tracker half of the checkpoint contract. The
+    /// default walks no words, right for stateless trackers.
     ///
-    /// The encoding is tracker-private but must be **canonical**: two
-    /// trackers in the same logical state produce identical words even
-    /// across processes (hash-map iteration order must not leak into the
-    /// output), and [`restore_state`](Self::restore_state) applied to a
-    /// fresh instance of the same configuration must continue the stream
-    /// bit-identically. Configuration (entry counts, thresholds,
-    /// probabilities) is *not* included — the restorer rebuilds it from the
-    /// scenario spec.
-    fn snapshot_state(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Restores the dynamic state captured by
-    /// [`snapshot_state`](Self::snapshot_state) onto a tracker built from
-    /// the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch if `state` was not produced by
-    /// the same tracker type and configuration.
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{}: expected empty state, got {} words",
-                self.name(),
-                state.len()
-            ))
-        }
+    /// The words must be **canonical** — two trackers in the same logical
+    /// state walk identical words in any process (hash-map order must not
+    /// leak) — and loading onto a fresh tracker of the same configuration
+    /// must continue the stream bit-identically. Configuration (entry
+    /// counts, thresholds) is not walked; the walk checks words against
+    /// it and errors on words another tracker or configuration produced.
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let _ = c;
+        Ok(())
     }
 }
 
@@ -326,18 +298,31 @@ mod tests {
 
     #[test]
     fn decision_word_encoding_round_trips() {
-        for d in [
-            MitigationDecision::None,
-            MitigationDecision::Aggressor(RowId(7)),
-            MitigationDecision::Transitive {
-                around: RowId(9),
-                distance: 3,
-            },
-            MitigationDecision::VictimRefresh(RowId(u32::MAX)),
+        let load = |words: &[u64]| {
+            let mut d = MitigationDecision::None;
+            d.walk(&mut StateCursor::loading(words)).map(|()| d)
+        };
+        for (mut d, words) in [
+            (MitigationDecision::None, [0, 0, 0]),
+            (MitigationDecision::Aggressor(RowId(7)), [1, 7, 0]),
+            (
+                MitigationDecision::Transitive {
+                    around: RowId(9),
+                    distance: 3,
+                },
+                [2, 9, 3],
+            ),
+            (
+                MitigationDecision::VictimRefresh(RowId(u32::MAX)),
+                [3, u64::from(u32::MAX), 0],
+            ),
         ] {
-            assert_eq!(MitigationDecision::decode(d.encode()), Ok(d));
+            let mut c = StateCursor::saving();
+            d.walk(&mut c).unwrap();
+            assert_eq!(c.finish().unwrap(), words);
+            assert_eq!(load(&words), Ok(d));
         }
-        assert!(MitigationDecision::decode([4, 0, 0]).is_err());
-        assert!(MitigationDecision::decode([1, u64::from(u32::MAX) + 1, 0]).is_err());
+        assert!(load(&[4, 0, 0]).is_err());
+        assert!(load(&[1, u64::from(u32::MAX) + 1, 0]).is_err());
     }
 }

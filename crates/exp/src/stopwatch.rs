@@ -36,9 +36,8 @@ impl Measurement {
 /// Times `f` until the measured batch lasts at least `target` (one
 /// warm-up call first, then the iteration count is scaled up from the
 /// observed rate). `Duration::ZERO` times exactly one post-warm-up call —
-/// the mode throughput cells use, where a single call is already
-/// milliseconds of simulated work and the caller takes a min over
-/// repetitions instead.
+/// for closures that are already milliseconds of work each, where the
+/// caller takes a min over repetitions instead.
 pub fn measure(target: Duration, mut f: impl FnMut()) -> Measurement {
     f(); // warm-up (page in code and data)
     let mut iters: u64 = 1;

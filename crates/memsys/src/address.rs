@@ -23,7 +23,7 @@
 use crate::config::SystemConfig;
 
 /// The DRAM coordinates of one cache-line address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodedAddr {
     /// Channel index.
     pub channel: u32,

@@ -26,7 +26,7 @@
 //! getting the in-DRAM cost down to a single entry.
 
 use crate::config::{MitigationScheme, SystemConfig};
-use mint_core::{InDramTracker, Mint, MintConfig};
+use mint_core::{InDramTracker, Mint, MintConfig, StateCursor};
 use mint_dram::SecurityParams;
 use mint_rng::Rng64;
 use mint_trackers::{
@@ -167,38 +167,23 @@ impl MitigationBackend {
         }
     }
 
-    /// The backend's dynamic state as checkpoint words — empty for the
-    /// stateless variants, the tracker's
-    /// [`snapshot_state`](InDramTracker::snapshot_state) otherwise.
-    #[must_use]
-    pub fn snapshot_state(&self) -> Vec<u64> {
-        match self {
-            MitigationBackend::None | MitigationBackend::McSample { .. } => Vec::new(),
-            MitigationBackend::InDram(t) | MitigationBackend::McTracker(t) => t.snapshot_state(),
-        }
-    }
-
-    /// Restores the state captured by [`snapshot_state`](Self::snapshot_state)
-    /// into a freshly built backend of the same scheme.
+    /// Walks the backend's dynamic state as one length-prefixed block:
+    /// empty for the stateless variants, the tracker's
+    /// [`walk_state`](InDramTracker::walk_state) otherwise. Loading
+    /// requires the block to be consumed exactly.
     ///
     /// # Errors
     ///
     /// Errors when the words do not describe this backend's tracker (wrong
     /// scheme, wrong capacity, or corruption).
-    pub fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let name = self.name();
         match self {
             MitigationBackend::None | MitigationBackend::McSample { .. } => {
-                if state.is_empty() {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "stateless backend given {} state words",
-                        state.len()
-                    ))
-                }
+                c.block(name, |_| Ok(()))
             }
             MitigationBackend::InDram(t) | MitigationBackend::McTracker(t) => {
-                t.restore_state(state)
+                c.block(name, |c| t.walk_state(c))
             }
         }
     }

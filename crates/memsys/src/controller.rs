@@ -17,10 +17,9 @@ use crate::address::{AddressDecoder, AddressMapping, DecodedAddr};
 use crate::backend::{refis_per_refw, MitigationBackend};
 use crate::config::{MitigationScheme, SystemConfig};
 use crate::events::MemEvent;
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
 use crate::telemetry::EngineTelemetry;
 use crate::workload::Request;
-use mint_core::{InDramTracker, MitigationDecision};
+use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::{Rng64, Xoshiro256StarStar};
 
@@ -707,108 +706,54 @@ impl MemoryController {
         }
     }
 
-    /// Serialises the engine's dynamic state: bank slabs (RAA counters,
-    /// REF cursors, tracker words), the hot ready/open-row arrays, the RNG
-    /// stream position, accumulated statistics, the REF memoisation pair
-    /// and any undrained events. Config, scheme, decoder and the
-    /// `log_events` knob are *not* serialised — a restore target is
-    /// rebuilt from the same spec.
-    pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        w.push(self.banks.len() as u64);
-        for b in &self.banks {
-            w.push_u32(b.raa);
-            w.push(b.ref_cursor);
-            w.push_words(&b.backend.snapshot_state());
-        }
-        for &t in &self.bank_ready_ps {
-            w.push(t);
-        }
-        for &row in &self.bank_open_row {
-            w.push_u32(row);
-        }
-        for s in self.rng.state() {
-            w.push(s);
-        }
-        let r = &self.result;
-        for c in [
-            r.requests,
-            r.row_hits,
-            r.demand_acts,
-            r.mitigative_acts,
-            r.rfm_commands,
-            r.drfm_commands,
-            r.reads,
-            r.writes,
-            r.refs,
-        ] {
-            w.push(c);
-        }
-        w.push(self.ref_quot);
-        w.push(self.ref_base_ps);
-        w.push(self.ref_next_ps);
-        w.push(self.events.len() as u64);
-        for e in &self.events {
-            for word in e.encode_words() {
-                w.push(word);
-            }
-        }
-        // Telemetry words ride behind the stable layout, and only when the
-        // layer is enabled — a non-telemetry checkpoint is unchanged.
-        if let Some(t) = &self.telemetry {
-            t.snapshot_into(w);
-        }
-    }
-
-    /// Restores the state captured by [`snapshot_into`](Self::snapshot_into)
-    /// into an engine freshly built for the same config and scheme.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), String> {
-        let banks = usize::try_from(r.take()?)
-            .map_err(|_| "engine: bank count overflows usize".to_string())?;
-        if banks != self.banks.len() {
-            return Err(format!(
-                "engine: checkpoint has {banks} banks, state has {}",
-                self.banks.len()
-            ));
-        }
+    /// Walks the engine's dynamic state: bank slabs (RAA counters, REF
+    /// cursors, tracker words), the hot ready/open-row arrays, the RNG
+    /// stream position, accumulated statistics, the REF memoisation
+    /// triple and the (empty) event log. Config, scheme, decoder and the
+    /// `log_events` knob are *not* walked — a restore target is rebuilt
+    /// from the same spec.
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.fixed(self.banks.len(), "engine banks")?;
         for b in &mut self.banks {
-            b.raa = r.take_u32()?;
-            b.ref_cursor = r.take()?;
-            b.backend.restore_state(r.take_words()?)?;
+            c.u32(&mut b.raa)?;
+            c.u64(&mut b.ref_cursor)?;
+            b.backend.walk_state(c)?;
         }
-        for t in &mut self.bank_ready_ps {
-            *t = r.take()?;
-        }
-        for row in &mut self.bank_open_row {
-            *row = r.take_u32()?;
-        }
-        let state = [r.take()?, r.take()?, r.take()?, r.take()?];
-        if state == [0; 4] {
+        self.bank_ready_ps.iter_mut().try_for_each(|t| c.u64(t))?;
+        self.bank_open_row
+            .iter_mut()
+            .try_for_each(|row| c.u32(row))?;
+        let mut rng = self.rng.state();
+        rng.iter_mut().try_for_each(|s| c.u64(s))?;
+        if rng == [0; 4] {
             return Err("engine: all-zero RNG state".to_string());
         }
-        self.rng = Xoshiro256StarStar::from_state(state);
-        self.result = SimResult {
-            requests: r.take()?,
-            row_hits: r.take()?,
-            demand_acts: r.take()?,
-            mitigative_acts: r.take()?,
-            rfm_commands: r.take()?,
-            drfm_commands: r.take()?,
-            reads: r.take()?,
-            writes: r.take()?,
-            refs: r.take()?,
-        };
-        self.ref_quot = r.take()?;
-        self.ref_base_ps = r.take()?;
-        self.ref_next_ps = r.take()?;
-        let pending = usize::try_from(r.take()?)
-            .map_err(|_| "engine: event count overflows usize".to_string())?;
-        self.events.clear();
-        for _ in 0..pending {
-            let words = [r.take()?, r.take()?, r.take()?, r.take()?];
-            self.events.push(MemEvent::decode_words(words)?);
+        self.rng = Xoshiro256StarStar::from_state(rng);
+        let r = &mut self.result;
+        c.u64(&mut r.requests)?;
+        c.u64(&mut r.row_hits)?;
+        c.u64(&mut r.demand_acts)?;
+        c.u64(&mut r.mitigative_acts)?;
+        c.u64(&mut r.rfm_commands)?;
+        c.u64(&mut r.drfm_commands)?;
+        c.u64(&mut r.reads)?;
+        c.u64(&mut r.writes)?;
+        c.u64(&mut r.refs)?;
+        c.u64(&mut self.ref_quot)?;
+        c.u64(&mut self.ref_base_ps)?;
+        c.u64(&mut self.ref_next_ps)?;
+        let refi = self.cfg.t_refi_ps;
+        if self.ref_quot.checked_mul(refi) != Some(self.ref_base_ps)
+            || self.ref_base_ps.checked_add(refi) != Some(self.ref_next_ps)
+        {
+            return Err("engine: REF memo is not one tREFI period".to_string());
         }
-        if let Some(t) = &mut self.telemetry {
-            t.restore_from(r)?;
+        // Sessions drain the log after every service: a pause finds it empty.
+        c.count(self.events.len(), 0, "engine: undrained events")?;
+        // Telemetry words ride behind the stable layout, and only when the
+        // layer is enabled — a non-telemetry checkpoint is unchanged.
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.walk_state(c)?;
         }
         Ok(())
     }

@@ -19,6 +19,8 @@
 //! Rowhammer threshold — closing the loop between the analytical security
 //! bounds and the cycle-level performance pipeline.
 
+use mint_core::StateCursor;
+
 /// One device-level command executed by the channel.
 ///
 /// Times are picoseconds on the channel's clock. `bank` is the
@@ -132,38 +134,33 @@ impl MemEvent {
         }
     }
 
-    /// Fixed-width checkpoint encoding: `[tag, bank, aux, at_ps]`, where
-    /// `aux` is the row (`Act`/`MitigativeRefresh`), the REF boundary index
-    /// (`Ref`), or zero. The inverse is [`decode_words`](Self::decode_words).
-    #[must_use]
-    pub fn encode_words(&self) -> [u64; 4] {
-        match *self {
-            MemEvent::Act { bank, row, at_ps } => [0, u64::from(bank), u64::from(row), at_ps],
-            MemEvent::Pre { bank, at_ps } => [1, u64::from(bank), 0, at_ps],
+    /// Walks the event as its fixed four-word checkpoint form `[tag,
+    /// bank, aux, at_ps]`, where `aux` is the row (`Act`,
+    /// `MitigativeRefresh`), the REF boundary index (`Ref`), or zero.
+    ///
+    /// # Errors
+    ///
+    /// Loading errors on a truncated stream, an unknown tag or a
+    /// bank/row beyond 32 bits.
+    pub(crate) fn walk(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let (mut tag, mut bank, mut aux, mut at_ps) = match *self {
+            MemEvent::Act { bank, row, at_ps } => (0, bank, u64::from(row), at_ps),
+            MemEvent::Pre { bank, at_ps } => (1, bank, 0, at_ps),
             MemEvent::Ref {
                 bank,
                 ref_index,
                 at_ps,
-            } => [2, u64::from(bank), ref_index, at_ps],
-            MemEvent::Rfm { bank, at_ps } => [3, u64::from(bank), 0, at_ps],
-            MemEvent::Drfm { bank, at_ps } => [4, u64::from(bank), 0, at_ps],
-            MemEvent::MitigativeRefresh { bank, row, at_ps } => {
-                [5, u64::from(bank), u64::from(row), at_ps]
-            }
-        }
-    }
-
-    /// Decodes the `[tag, bank, aux, at_ps]` encoding of
-    /// [`encode_words`](Self::encode_words).
-    ///
-    /// # Errors
-    ///
-    /// Errors on an unknown tag or a bank/row that no longer fits in `u32`.
-    pub fn decode_words(words: [u64; 4]) -> Result<Self, String> {
-        let [tag, bank, aux, at_ps] = words;
-        let bank = u32::try_from(bank).map_err(|_| format!("event bank {bank} exceeds u32"))?;
+            } => (2, bank, ref_index, at_ps),
+            MemEvent::Rfm { bank, at_ps } => (3, bank, 0, at_ps),
+            MemEvent::Drfm { bank, at_ps } => (4, bank, 0, at_ps),
+            MemEvent::MitigativeRefresh { bank, row, at_ps } => (5, bank, u64::from(row), at_ps),
+        };
+        c.u64(&mut tag)?;
+        c.u32(&mut bank)?;
+        c.u64(&mut aux)?;
+        c.u64(&mut at_ps)?;
         let row = || u32::try_from(aux).map_err(|_| format!("event row {aux} exceeds u32"));
-        Ok(match tag {
+        *self = match tag {
             0 => MemEvent::Act {
                 bank,
                 row: row()?,
@@ -183,7 +180,8 @@ impl MemEvent {
                 at_ps,
             },
             other => return Err(format!("unknown event tag {other}")),
-        })
+        };
+        Ok(())
     }
 }
 
@@ -282,13 +280,21 @@ mod tests {
                 at_ps: 60,
             },
         ];
-        for e in events {
-            assert_eq!(MemEvent::decode_words(e.encode_words()), Ok(e));
+        let load = |words: &[u64]| {
+            let mut e = MemEvent::Pre { bank: 0, at_ps: 0 };
+            e.walk(&mut StateCursor::loading(words)).map(|()| e)
+        };
+        for (tag, mut e) in (0..).zip(events) {
+            let mut c = StateCursor::saving();
+            e.walk(&mut c).unwrap();
+            let words = c.finish().unwrap();
+            assert_eq!(words[..2], [tag, u64::from(e.bank())]);
+            assert_eq!(load(&words), Ok(e));
         }
-        assert!(MemEvent::decode_words([6, 0, 0, 0])
+        assert!(load(&[6, 0, 0, 0])
             .unwrap_err()
             .contains("unknown event tag"));
-        assert!(MemEvent::decode_words([0, u64::MAX, 0, 0])
+        assert!(load(&[0, u64::MAX, 0, 0])
             .unwrap_err()
             .contains("exceeds u32"));
     }

@@ -81,7 +81,7 @@ pub use scenario::{
 };
 pub use sched::{Channel, Completion, SchedulePolicy};
 pub use sim::{CoreOutcome, NormalizedPerf, RunReport, Session, SessionRun, Sim};
-pub use snapshot::{Checkpoint, SnapshotReader, SnapshotWriter, CHECKPOINT_VERSION};
+pub use snapshot::{Checkpoint, CHECKPOINT_VERSION};
 pub use system::System;
 pub use telemetry::{EngineTelemetry, SchedTelemetry, SessionTelemetry};
 

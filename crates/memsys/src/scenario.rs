@@ -627,6 +627,7 @@ impl ScenarioGrid {
 
     /// Runs every `(workload, scheme)` cell and returns, per workload,
     /// the per-scheme results normalized against the first scheme.
+    /// Telemetry stays off whatever the grid's flag says.
     ///
     /// # Panics
     ///
@@ -635,31 +636,11 @@ impl ScenarioGrid {
     /// [`Sim::build`] also apply).
     #[must_use]
     pub fn run(&self) -> Vec<Vec<NormalizedPerf>> {
-        assert!(!self.schemes.is_empty(), "need at least one scheme");
-        let seeds: Vec<u64> = match &self.seeds {
-            SeedAxis::Explicit(seeds) => {
-                assert_eq!(self.workloads.len(), seeds.len(), "one seed per workload");
-                seeds.clone()
-            }
-            SeedAxis::Base(base) => (0..self.workloads.len() as u64).map(|i| base + i).collect(),
-        };
-        let cells: Vec<(usize, usize)> = (0..self.workloads.len())
-            .flat_map(|w| (0..self.schemes.len()).map(move |s| (w, s)))
-            .collect();
-        let flat = mint_exp::par_map(&cells, |_, &(w, s)| {
-            Sim::new(self.cfg)
-                .scheme(self.schemes[s])
-                .policy(self.policy)
-                .mapping(self.mapping)
-                .workload(&self.workloads[w], self.requests_per_core)
-                .seed(seeds[w])
-                .run()
-                .perf
-        });
-        flat.chunks(self.schemes.len())
+        self.run_cells(false)
+            .into_iter()
             .map(|row| {
-                let base = row[0];
-                row.iter().map(|cell| cell.normalize(&base)).collect()
+                let base = row[0].perf;
+                row.iter().map(|cell| cell.perf.normalize(&base)).collect()
             })
             .collect()
     }
@@ -676,6 +657,13 @@ impl ScenarioGrid {
     /// Panics under the same conditions as [`run`](Self::run).
     #[must_use]
     pub fn run_reports(&self) -> Vec<Vec<RunReport>> {
+        self.run_cells(self.telemetry)
+    }
+
+    /// The one grid runner: resolves the seed axis and fans every
+    /// `(workload, scheme)` cell through [`mint_exp::par_map`], returning
+    /// the reports indexed `[workload][scheme]`.
+    fn run_cells(&self, telemetry: bool) -> Vec<Vec<RunReport>> {
         assert!(!self.schemes.is_empty(), "need at least one scheme");
         let seeds: Vec<u64> = match &self.seeds {
             SeedAxis::Explicit(seeds) => {
@@ -694,17 +682,15 @@ impl ScenarioGrid {
                 .mapping(self.mapping)
                 .workload(&self.workloads[w], self.requests_per_core)
                 .seed(seeds[w]);
-            if self.telemetry {
+            if telemetry {
                 sim = sim.telemetry();
             }
             sim.run()
         });
-        let mut rows: Vec<Vec<RunReport>> = Vec::with_capacity(self.workloads.len());
         let mut flat = flat.into_iter();
-        for _ in 0..self.workloads.len() {
-            rows.push(flat.by_ref().take(self.schemes.len()).collect());
-        }
-        rows
+        (0..self.workloads.len())
+            .map(|_| flat.by_ref().take(self.schemes.len()).collect())
+            .collect()
     }
 }
 

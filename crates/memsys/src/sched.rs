@@ -19,10 +19,10 @@
 use crate::address::{AddressDecoder, AddressMapping, DecodedAddr};
 use crate::config::{MitigationScheme, SystemConfig};
 use crate::controller::{past_ref_window, MemoryController, SimResult};
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
 use crate::telemetry::SchedTelemetry;
 use crate::timing::{InterBankTiming, TimingState};
 use crate::workload::Request;
+use mint_core::StateCursor;
 
 /// How the channel arbitrates among simultaneously issuable transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +87,7 @@ impl Default for SchedulePolicy {
 }
 
 /// One in-flight transaction of the bounded queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Transaction {
     id: u64,
     core: u32,
@@ -111,7 +111,7 @@ struct Transaction {
 /// order. Each slot also carries the incremental planner's cache: the
 /// transaction's earliest start and predicted CAS offset, plus a dirty
 /// bit cleared whenever the slot's bank is serviced.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     occupied: bool,
     /// This slot's position in the channel's dense `active` index list
@@ -362,7 +362,7 @@ pub struct Channel {
 /// One computed scheduling decision: which slot and when. The per-slot
 /// earliest starts that starvation accounting needs live in the slot
 /// caches, which every planning pass leaves current.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Plan {
     slot: usize,
     start_ps: u64,
@@ -923,184 +923,141 @@ impl Channel {
         self.engine.finish(end_ps);
     }
 
-    /// Serialises the channel's dynamic state *exactly*: the engine and
-    /// timing layers, then the slot slab field for field (including the
-    /// planner caches, `exact` flags and the `active` list **in storage
-    /// order** — the planner's skip rule and starvation accounting are
-    /// scan-order sensitive, so a canonicalised restore could diverge from
-    /// the straight run). The `reference` planner knob is not serialised.
-    pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        self.engine.snapshot_into(w);
-        self.timing.snapshot_into(w);
-        w.push(self.slots.len() as u64);
-        for s in &self.slots {
-            w.push_bool(s.occupied);
-            w.push_u32(s.active_pos);
-            w.push_bool(s.fresh);
-            w.push_bool(s.exact);
-            w.push(s.start_ps);
-            w.push(s.cas_off_ps);
-            w.push(s.base_ps);
-            w.push(s.tx.id);
-            w.push_u32(s.tx.core);
-            w.push(s.tx.arrival_ps);
-            let d = s.tx.decoded;
-            for v in [d.channel, d.rank, d.bank_group, d.bank, d.row, d.column] {
-                w.push_u32(v);
-            }
-            w.push_u32(s.tx.bank);
-            w.push_bool(s.tx.is_read);
-            w.push_u32(s.tx.bypassed);
-        }
-        w.push(self.free.len() as u64);
-        for &i in &self.free {
-            w.push_u32(i);
-        }
-        w.push(self.active.len() as u64);
-        for &i in &self.active {
-            w.push_u32(i);
-        }
-        w.push(self.next_id);
-        w.push(self.clock_ps);
-        match self.plan_cache {
-            Some(p) => {
-                w.push_bool(true);
-                w.push(p.slot as u64);
-                w.push(p.start_ps);
-            }
-            None => {
-                w.push_bool(false);
-                w.push(0);
-                w.push(0);
+    /// Walks the channel's dynamic state *exactly*: the engine and timing
+    /// layers, then the slot slab field for field (including the planner
+    /// caches, `exact` flags and the `active` list **in storage order** —
+    /// the planner's skip rule and starvation accounting are scan-order
+    /// sensitive, so a canonicalised restore could diverge from the
+    /// straight run). The `reference` planner knob is not walked.
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        self.engine.walk_state(c)?;
+        self.timing.walk_state(c)?;
+        let org = *self.engine.decoder().org();
+        let slots = c.count(self.slots.len(), self.cfg.queue_depth as usize, "slot slab")?;
+        self.slots.resize(slots, Slot::default());
+        for s in &mut self.slots {
+            c.bool(&mut s.occupied)?;
+            c.u32(&mut s.active_pos)?;
+            c.bool(&mut s.fresh)?;
+            c.bool(&mut s.exact)?;
+            c.u64(&mut s.start_ps)?;
+            c.u64(&mut s.cas_off_ps)?;
+            c.u64(&mut s.base_ps)?;
+            let tx = &mut s.tx;
+            c.u64(&mut tx.id)?;
+            c.u32(&mut tx.core)?;
+            c.u64(&mut tx.arrival_ps)?;
+            let d = &mut tx.decoded;
+            c.u32(&mut d.channel)?;
+            c.u32(&mut d.rank)?;
+            c.u32(&mut d.bank_group)?;
+            c.u32(&mut d.bank)?;
+            c.u32(&mut d.row)?;
+            c.u32(&mut d.column)?;
+            c.u32(&mut tx.bank)?;
+            c.bool(&mut tx.is_read)?;
+            c.u32(&mut tx.bypassed)?;
+            let in_org = d.channel < org.channels
+                && d.rank < org.ranks
+                && d.bank_group < org.bank_groups
+                && d.bank < org.banks_per_group
+                && d.row < org.rows
+                && d.column < org.columns;
+            if !in_org || tx.bank != d.channel_bank(&org) || s.base_ps < tx.arrival_ps {
+                return Err(format!("channel: transaction {} is malformed", tx.id));
             }
         }
-        w.push(self.wins.w0_start);
-        w.push(self.wins.w0_end);
-        w.push(self.wins.w1_start);
-        w.push(self.wins.w1_end);
-        w.push_bool(self.wins.fast);
-        match self.seed_hint {
-            Some((b, i)) => {
-                w.push_bool(true);
-                w.push(b);
-                w.push_u32(i);
-            }
-            None => {
-                w.push_bool(false);
-                w.push(0);
-                w.push_u32(0);
-            }
-        }
-        w.push(self.plans_computed);
+        walk_slot_list(c, &mut self.free, slots, "free list")?;
+        walk_slot_list(c, &mut self.active, slots, "active list")?;
+        c.u64(&mut self.next_id)?;
+        c.u64(&mut self.clock_ps)?;
+        let mut plan = self.plan_cache.unwrap_or_default();
+        let mut plan_slot = plan.slot as u64;
+        let has_plan = c.padded(self.plan_cache.is_some(), |c| {
+            c.u64(&mut plan_slot)?;
+            c.u64(&mut plan.start_ps)
+        })?;
+        plan.slot = usize::try_from(plan_slot).unwrap_or(usize::MAX);
+        self.plan_cache = has_plan.then_some(plan);
+        c.u64(&mut self.wins.w0_start)?;
+        c.u64(&mut self.wins.w0_end)?;
+        c.u64(&mut self.wins.w1_start)?;
+        c.u64(&mut self.wins.w1_end)?;
+        c.bool(&mut self.wins.fast)?;
+        let (mut hint_base, mut hint_idx) = self.seed_hint.unwrap_or((0, 0));
+        let has_hint = c.padded(self.seed_hint.is_some(), |c| {
+            c.u64(&mut hint_base)?;
+            c.u32(&mut hint_idx)
+        })?;
+        self.seed_hint = has_hint.then_some((hint_base, hint_idx));
+        c.u64(&mut self.plans_computed)?;
+        self.check_queue()?;
         // Telemetry words ride behind the stable layout, and only when the
         // layer is enabled — a non-telemetry checkpoint is unchanged.
-        if let Some(t) = &self.telemetry {
-            t.snapshot_into(w);
-        }
-    }
-
-    /// Restores the state captured by [`snapshot_into`](Self::snapshot_into)
-    /// into a channel freshly built for the same config/scheme/policy.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), String> {
-        self.engine.restore_from(r)?;
-        self.timing.restore_from(r)?;
-        let slots = usize::try_from(r.take()?)
-            .map_err(|_| "channel: slot count overflows usize".to_string())?;
-        self.slots.clear();
-        for _ in 0..slots {
-            let occupied = r.take_bool()?;
-            let active_pos = r.take_u32()?;
-            let fresh = r.take_bool()?;
-            let exact = r.take_bool()?;
-            let start_ps = r.take()?;
-            let cas_off_ps = r.take()?;
-            let base_ps = r.take()?;
-            let id = r.take()?;
-            let core = r.take_u32()?;
-            let arrival_ps = r.take()?;
-            let decoded = DecodedAddr {
-                channel: r.take_u32()?,
-                rank: r.take_u32()?,
-                bank_group: r.take_u32()?,
-                bank: r.take_u32()?,
-                row: r.take_u32()?,
-                column: r.take_u32()?,
-            };
-            let bank = r.take_u32()?;
-            let is_read = r.take_bool()?;
-            let bypassed = r.take_u32()?;
-            self.slots.push(Slot {
-                occupied,
-                active_pos,
-                fresh,
-                exact,
-                start_ps,
-                cas_off_ps,
-                base_ps,
-                tx: Transaction {
-                    id,
-                    core,
-                    arrival_ps,
-                    decoded,
-                    bank,
-                    is_read,
-                    bypassed,
-                },
-            });
-        }
-        let take_index_list =
-            |r: &mut SnapshotReader<'_>, out: &mut Vec<u32>, what: &str| -> Result<(), String> {
-                let len = usize::try_from(r.take()?)
-                    .map_err(|_| format!("channel: {what} overflows usize"))?;
-                out.clear();
-                for _ in 0..len {
-                    let i = r.take_u32()?;
-                    if i as usize >= slots {
-                        return Err(format!("channel: {what} index {i} out of range"));
-                    }
-                    out.push(i);
-                }
-                Ok(())
-            };
-        let mut free = std::mem::take(&mut self.free);
-        take_index_list(r, &mut free, "free list")?;
-        self.free = free;
-        let mut active = std::mem::take(&mut self.active);
-        take_index_list(r, &mut active, "active list")?;
-        self.active = active;
-        self.next_id = r.take()?;
-        self.clock_ps = r.take()?;
-        let has_plan = r.take_bool()?;
-        let plan_slot = usize::try_from(r.take()?)
-            .map_err(|_| "channel: plan slot overflows usize".to_string())?;
-        let plan_start = r.take()?;
-        if has_plan && plan_slot >= slots {
-            return Err(format!("channel: plan slot {plan_slot} out of range"));
-        }
-        self.plan_cache = has_plan.then_some(Plan {
-            slot: plan_slot,
-            start_ps: plan_start,
-        });
-        self.wins = RefWindows {
-            w0_start: r.take()?,
-            w0_end: r.take()?,
-            w1_start: r.take()?,
-            w1_end: r.take()?,
-            fast: r.take_bool()?,
-        };
-        let has_hint = r.take_bool()?;
-        let hint_base = r.take()?;
-        let hint_idx = r.take_u32()?;
-        if has_hint && hint_idx as usize >= slots {
-            return Err(format!("channel: seed hint index {hint_idx} out of range"));
-        }
-        self.seed_hint = has_hint.then_some((hint_base, hint_idx));
-        self.plans_computed = r.take()?;
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.restore_from(r)?;
+            t.walk_state(c)?;
         }
         Ok(())
     }
+
+    /// The queue invariants planning and service rely on, which live state
+    /// always holds: every slot is listed once — active (occupied, at its
+    /// `active_pos`) or free (vacant); a cached plan names an occupied
+    /// slot no earlier than its floor; a seed hint names an occupied slot
+    /// and exists exactly while the queue is non-empty.
+    fn check_queue(&self) -> Result<(), String> {
+        let mut listed = vec![false; self.slots.len()];
+        let active = self.active.iter().enumerate().map(|(p, &i)| (i, Some(p)));
+        for (i, pos) in active.chain(self.free.iter().map(|&i| (i, None))) {
+            let fits = self.slots.get(i as usize).is_some_and(|s| {
+                s.occupied == pos.is_some() && pos.map_or(true, |p| s.active_pos as usize == p)
+            });
+            if !fits || std::mem::replace(&mut listed[i as usize], true) {
+                return Err(format!("channel: slot {i} is listed out of place"));
+            }
+        }
+        let plan = self.plan_cache.map_or(true, |p| {
+            self.slots
+                .get(p.slot)
+                .is_some_and(|s| s.occupied && p.start_ps >= s.base_ps)
+        });
+        let hint = self.seed_hint.map_or(self.active.is_empty(), |(_, i)| {
+            self.slots.get(i as usize).is_some_and(|s| s.occupied)
+        });
+        if listed.contains(&false) || !plan || !hint {
+            return Err("channel: slot lists, plan and seed hint disagree".to_string());
+        }
+        Ok(())
+    }
+
+    /// The start a fresh readiness cache holds for this channel: the
+    /// cached plan's start, or `u64::MAX` for an empty queue — `None`
+    /// when a non-empty queue has no plan cached (the system's cache of
+    /// a channel no push or service staled must agree).
+    pub(crate) fn planned_start(&self) -> Option<u64> {
+        match self.plan_cache {
+            Some(p) => Some(p.start_ps),
+            None if self.active.is_empty() => Some(u64::MAX),
+            None => None,
+        }
+    }
+
+    /// The cores of the queued transactions, one entry per transaction.
+    pub(crate) fn queued_cores(&self) -> impl Iterator<Item = u32> + '_ {
+        self.active.iter().map(|&i| self.slots[i as usize].tx.core)
+    }
+}
+
+/// A counted list of slot indices (placed by `Channel::check_queue`).
+fn walk_slot_list(
+    c: &mut StateCursor,
+    list: &mut Vec<u32>,
+    slots: usize,
+    what: &str,
+) -> Result<(), String> {
+    let len = c.count(list.len(), slots, what)?;
+    list.resize(len, 0);
+    list.iter_mut().try_for_each(|i| c.u32(i))
 }
 
 #[cfg(test)]

@@ -44,10 +44,11 @@ use crate::controller::SimResult;
 use crate::energy::{EnergyModel, EnergyReport};
 use crate::events::{ChannelObserver, MemEvent};
 use crate::sched::SchedulePolicy;
-use crate::snapshot::{Checkpoint, SnapshotReader, SnapshotWriter};
+use crate::snapshot::Checkpoint;
 use crate::system::System;
 use crate::telemetry::{collect_report, SessionTelemetry};
 use crate::workload::{CoreStream, Request, RequestSource, TraceEntry, TraceSource, WorkloadSpec};
+use mint_core::StateCursor;
 use mint_obs::TelemetryReport;
 use mint_rng::derive_seed;
 use std::cmp::Reverse;
@@ -415,6 +416,51 @@ impl CoreCtx<'_> {
             self.pending = Some((req, issue));
         }
     }
+
+    /// Walks one core's frontend: the source's block, the pending request
+    /// and its issue time, the ring, the clock, the budget left (present
+    /// exactly when the session's `budget` is) and the counters.
+    fn walk_state(
+        &mut self,
+        c: &mut StateCursor,
+        budget: Option<u32>,
+        decoder: &AddressDecoder,
+    ) -> Result<(), String> {
+        let source = &mut self.source;
+        c.block("request source", |c| source.walk_state(c))?;
+        let (mut req, mut issue) = self.pending.unwrap_or_default();
+        let pending = c.opt(self.pending.is_some(), |c| {
+            walk_request(c, &mut req, decoder)?;
+            c.u64(&mut issue)
+        })?;
+        self.pending = pending.then_some((req, issue));
+        let queued = c.count(self.ring.len(), usize::MAX, "request ring")?;
+        self.ring.resize(queued, Request::default());
+        self.ring
+            .iter_mut()
+            .try_for_each(|req| walk_request(c, req, decoder))?;
+        c.u64(&mut self.ready_at)?;
+        let mut left = self.remaining.unwrap_or(0);
+        let budgeted = c.padded(self.remaining.is_some(), |c| c.u32(&mut left))?;
+        if budgeted != budget.is_some() {
+            return Err("the request budget does not match the session's".to_string());
+        }
+        self.remaining = budgeted.then_some(left);
+        c.u64(&mut self.finish)?;
+        c.u64(&mut self.serviced)
+    }
+}
+
+/// `[addr, is_read, think_time_ps]`; the address must decode.
+fn walk_request(
+    c: &mut StateCursor,
+    req: &mut Request,
+    decoder: &AddressDecoder,
+) -> Result<(), String> {
+    c.u64(&mut req.addr)?;
+    decoder.try_decode(req.addr).map_err(|e| e.to_string())?;
+    c.bool(&mut req.is_read)?;
+    c.u64(&mut req.think_time_ps)
 }
 
 /// One service step of the run loops: serve the earliest-ready
@@ -526,7 +572,7 @@ impl Session<'_> {
     /// # Errors
     ///
     /// Returns an error if any request source does not support
-    /// snapshotting ([`RequestSource::snapshot_state`] returns `None`).
+    /// checkpointing (its [`RequestSource::walk_state`] refuses).
     pub fn run_until(self, stop_after: u64) -> Result<SessionRun, String> {
         self.drive(None, Some(stop_after))
     }
@@ -606,6 +652,7 @@ impl Session<'_> {
         } else {
             None
         };
+        let budget = self.budget;
         let mut cores: Vec<CoreCtx> = self
             .sources
             .into_iter()
@@ -615,7 +662,7 @@ impl Session<'_> {
                 ring: VecDeque::new(),
                 route: 0,
                 ready_at: 0,
-                remaining: self.budget,
+                remaining: budget,
                 finish: 0,
                 serviced: 0,
             })
@@ -625,7 +672,16 @@ impl Session<'_> {
             // overwrites every stream position, pending request and
             // counter with the checkpointed state. The initial fetch is
             // skipped — the paused run already performed it.
-            restore_session(checkpoint, &mut system, &mut cores, &mut events, &mut stel)?;
+            let mut c = StateCursor::loading(&checkpoint.words);
+            walk_session(
+                &mut c,
+                &mut system,
+                &mut cores,
+                budget,
+                &mut events,
+                &mut stel,
+            )?;
+            c.finish()?;
         } else {
             for c in &mut cores {
                 c.fetch();
@@ -657,8 +713,7 @@ impl Session<'_> {
             }
             loop {
                 if stop_after.is_some_and(|k| serviced_total >= k) {
-                    let ckpt = snapshot_session(&system, &cores, &events, &stel)?;
-                    return Ok(SessionRun::Paused(ckpt));
+                    return pause(&mut system, &mut cores, budget, &mut events, &mut stel);
                 }
                 if let Some(&Reverse((issue, i))) = arrivals.peek() {
                     if system.admissible(0, issue) {
@@ -707,8 +762,7 @@ impl Session<'_> {
             }
             loop {
                 if stop_after.is_some_and(|k| serviced_total >= k) {
-                    let ckpt = snapshot_session(&system, &cores, &events, &stel)?;
-                    return Ok(SessionRun::Paused(ckpt));
+                    return pause(&mut system, &mut cores, budget, &mut events, &mut stel);
                 }
                 let mut admitted = None;
                 for &(issue, i) in &arrivals {
@@ -758,135 +812,92 @@ impl Session<'_> {
     }
 }
 
-/// Serializes the full dynamic state of a paused run — system, cores and
-/// captured events — into a [`Checkpoint`]. Builder-derived state
-/// (config, scheme, decoder, policy, observer) is *not* stored:
-/// [`Session::resume`] must be handed an identically built session.
-fn snapshot_session(
-    system: &System,
-    cores: &[CoreCtx],
-    events: &[MemEvent],
-    stel: &Option<Box<SessionTelemetry>>,
-) -> Result<Checkpoint, String> {
-    let mut w = SnapshotWriter::new();
-    w.push(cores.len() as u64);
-    // The generation-mode word: sessions always prefill their rings, so
-    // it is a constant `true`, kept so the layout stays version 1.
-    w.push_bool(true);
-    system.snapshot_into(&mut w);
-    for (i, c) in cores.iter().enumerate() {
-        let source = c
-            .source
-            .snapshot_state()
-            .ok_or_else(|| format!("request source {i} does not support checkpoint/restore"))?;
-        w.push_words(&source);
-        match c.pending.as_ref() {
-            Some(&(req, issue)) => {
-                w.push_bool(true);
-                w.push(req.addr);
-                w.push_bool(req.is_read);
-                w.push(req.think_time_ps);
-                w.push(issue);
-            }
-            None => w.push_bool(false),
-        }
-        w.push(c.ring.len() as u64);
-        for req in &c.ring {
-            w.push(req.addr);
-            w.push_bool(req.is_read);
-            w.push(req.think_time_ps);
-        }
-        w.push(c.ready_at);
-        w.push_opt(c.remaining.map(u64::from));
-        w.push(c.finish);
-        w.push(c.serviced);
-    }
-    w.push(events.len() as u64);
-    for e in events {
-        for word in e.encode_words() {
-            w.push(word);
-        }
-    }
-    // Telemetry words ride behind the stable layout, and only when the
-    // layer is enabled — a non-telemetry checkpoint is unchanged.
-    if let Some(t) = stel {
-        t.snapshot_into(&mut w);
-    }
-    Ok(w.into_checkpoint())
-}
-
-/// Rebuilds the dynamic state captured by [`snapshot_session`] into a
-/// freshly constructed system and core set.
-fn restore_session(
-    checkpoint: &Checkpoint,
+/// Walks the full dynamic state of a paused run — system, cores, captured
+/// events, telemetry — and checks its cross-layer accounting.
+/// Builder-derived state (config, scheme, decoder, policy, observer) is
+/// *not* walked: [`Session::resume`] must be handed an identically built
+/// session.
+fn walk_session(
+    c: &mut StateCursor,
     system: &mut System,
     cores: &mut [CoreCtx],
+    budget: Option<u32>,
     events: &mut Vec<MemEvent>,
     stel: &mut Option<Box<SessionTelemetry>>,
 ) -> Result<(), String> {
-    let mut r = SnapshotReader::new(&checkpoint.words);
-    let count = r.take()?;
-    if count != cores.len() as u64 {
-        return Err(format!(
-            "session: checkpoint has {count} cores, this session has {}",
-            cores.len()
-        ));
-    }
-    if !r.take_bool()? {
+    c.fixed(cores.len(), "session cores")?;
+    // The generation-mode word: sessions always prefill their rings, so
+    // it is a constant `true`, kept so the layout stays version 1.
+    let mut batched = true;
+    c.bool(&mut batched)?;
+    if !batched {
         return Err("session: unbatched-generation checkpoints are unsupported".into());
     }
-    system.restore_from(&mut r)?;
-    for c in cores.iter_mut() {
-        c.source.restore_state(r.take_words()?)?;
-        c.pending = if r.take_bool()? {
-            let addr = r.take()?;
-            let is_read = r.take_bool()?;
-            let think_time_ps = r.take()?;
-            let issue = r.take()?;
-            Some((
-                Request {
-                    addr,
-                    is_read,
-                    think_time_ps,
-                },
-                issue,
-            ))
-        } else {
-            None
-        };
-        let ring_len = r.take()?;
-        c.ring.clear();
-        for _ in 0..ring_len {
-            let addr = r.take()?;
-            let is_read = r.take_bool()?;
-            let think_time_ps = r.take()?;
-            c.ring.push_back(Request {
-                addr,
-                is_read,
-                think_time_ps,
-            });
-        }
-        c.ready_at = r.take()?;
-        c.remaining = match r.take_opt()? {
-            Some(n) => Some(
-                u32::try_from(n)
-                    .map_err(|_| format!("session: remaining budget {n} exceeds u32"))?,
-            ),
-            None => None,
-        };
-        c.finish = r.take()?;
-        c.serviced = r.take()?;
+    system.walk_state(c)?;
+    for (i, core) in cores.iter_mut().enumerate() {
+        core.walk_state(c, budget, system.decoder())
+            .map_err(|e| format!("session: core {i}: {e}"))?;
     }
-    let ev_len = r.take()?;
-    events.clear();
-    for _ in 0..ev_len {
-        let words = [r.take()?, r.take()?, r.take()?, r.take()?];
-        events.push(MemEvent::decode_words(words)?);
-    }
+    check_accounting(system, cores, budget)?;
+    let n = c.count(events.len(), usize::MAX, "session: event log")?;
+    events.resize(n, MemEvent::Pre { bank: 0, at_ps: 0 });
+    events.iter_mut().try_for_each(|e| e.walk(c))?;
+    // Telemetry words ride behind the stable layout, and only when the
+    // layer is enabled — a non-telemetry checkpoint is unchanged.
     if let Some(t) = stel.as_deref_mut() {
-        t.restore_from(&mut r)?;
+        t.walk_state(c)?;
     }
-    r.finish()
+    Ok(())
+}
+
+/// Pauses the run into a checkpoint: [`walk_session`] with a saving
+/// cursor.
+fn pause(
+    system: &mut System,
+    cores: &mut [CoreCtx],
+    budget: Option<u32>,
+    events: &mut Vec<MemEvent>,
+    stel: &mut Option<Box<SessionTelemetry>>,
+) -> Result<SessionRun, String> {
+    let mut c = StateCursor::saving();
+    walk_session(&mut c, system, cores, budget, events, stel)?;
+    Ok(SessionRun::Paused(Checkpoint { words: c.finish()? }))
+}
+
+/// The frontend's books must balance against the queues, or a resumed
+/// run would trip a queue invariant or overrun its budget: a core (a
+/// blocking-miss core) has at most one request pending or queued, a
+/// budgeted core accounts for at most its budget, and the cores'
+/// serviced counts sum to the channels'.
+fn check_accounting(system: &System, cores: &[CoreCtx], budget: Option<u32>) -> Result<(), String> {
+    let mut outstanding: Vec<u64> = cores
+        .iter()
+        .map(|c| u64::from(c.pending.is_some()))
+        .collect();
+    for core in system.queued_cores() {
+        *outstanding
+            .get_mut(core as usize)
+            .ok_or("session: a queued request names no core")? += 1;
+    }
+    for (i, (c, &n)) in cores.iter().zip(&outstanding).enumerate() {
+        let used = c
+            .serviced
+            .saturating_add(n + u64::from(c.remaining.unwrap_or(0)));
+        if n > 1 || budget.is_some_and(|b| used > u64::from(b)) {
+            return Err(format!(
+                "session: core {i} has {n} outstanding, {used} accounted"
+            ));
+        }
+    }
+    let serviced = cores
+        .iter()
+        .fold(0, |sum: u64, c| sum.saturating_add(c.serviced));
+    if serviced != system.result().requests {
+        return Err(format!(
+            "session: cores serviced {serviced} requests, channels not"
+        ));
+    }
+    Ok(())
 }
 
 /// Aggregates a completed run into its [`RunReport`].

@@ -34,8 +34,8 @@ use crate::config::{MitigationScheme, SystemConfig};
 use crate::controller::SimResult;
 use crate::events::MemEvent;
 use crate::sched::{Channel, Completion, SchedulePolicy};
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
 use crate::workload::Request;
+use mint_core::StateCursor;
 use mint_rng::derive_seed;
 
 /// A full DIMM: one [`Channel`] pipeline per channel of the configured
@@ -236,41 +236,32 @@ impl System {
         total
     }
 
-    /// Serialises every channel pipeline plus the readiness cache.
-    pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        w.push(self.channels.len() as u64);
-        for ch in &self.channels {
-            ch.snapshot_into(w);
-        }
-        for &s in &self.next_start {
-            w.push(s);
-        }
-        for &b in &self.stale {
-            w.push_bool(b);
-        }
-    }
-
-    /// Restores the state captured by [`snapshot_into`](Self::snapshot_into)
-    /// into a system freshly built for the same topology.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), String> {
-        let count = usize::try_from(r.take()?)
-            .map_err(|_| "system: channel count overflows usize".to_string())?;
-        if count != self.channels.len() {
-            return Err(format!(
-                "system: checkpoint has {count} channels, state has {}",
-                self.channels.len()
-            ));
-        }
+    /// Walks every channel pipeline plus the readiness cache, whose
+    /// fresh (unstaled) entries must agree with their channel's plan.
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.fixed(self.channels.len(), "system channels")?;
         for ch in &mut self.channels {
-            ch.restore_from(r)?;
+            ch.walk_state(c)?;
         }
         for s in &mut self.next_start {
-            *s = r.take()?;
+            c.u64(s)?;
         }
         for b in &mut self.stale {
-            *b = r.take_bool()?;
+            c.bool(b)?;
+        }
+        for (ch, channel) in self.channels.iter().enumerate() {
+            if !self.stale[ch] && channel.planned_start() != Some(self.next_start[ch]) {
+                return Err(format!(
+                    "system: readiness cache of channel {ch} disagrees with its planner"
+                ));
+            }
         }
         Ok(())
+    }
+
+    /// The issuing core of every queued transaction, channel by channel.
+    pub(crate) fn queued_cores(&self) -> impl Iterator<Item = u32> + '_ {
+        self.channels.iter().flat_map(Channel::queued_cores)
     }
 }
 

@@ -13,14 +13,13 @@
 //! `ch{i}/sched`, `ch{i}/engine`, `ch{i}/tracker`) which rides on
 //! [`RunReport::telemetry`](crate::RunReport::telemetry).
 //!
-//! For checkpoint/restore each struct serializes to plain words via the
-//! same [`SnapshotWriter`]/[`SnapshotReader`] discipline as the rest of
-//! the `MINTCKPT` payload; the words are only written when the owning
-//! layer has telemetry enabled, so non-telemetry checkpoints are
-//! unchanged.
+//! For checkpoint/restore each struct walks its words through the same
+//! [`StateCursor`] as the rest of the `MINTCKPT` payload; the owning
+//! layer walks them only when it has telemetry enabled, so non-telemetry
+//! checkpoints are unchanged.
 
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
 use crate::system::System;
+use mint_core::StateCursor;
 use mint_obs::{Log2Histogram, Section, TelemetryReport, TimeSeries};
 
 /// Scheduler-side telemetry for one [`Channel`](crate::sched::Channel).
@@ -43,29 +42,18 @@ pub struct SchedTelemetry {
 }
 
 impl SchedTelemetry {
-    /// Appends this state to a checkpoint word stream.
-    pub fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        w.push(self.decisions);
-        w.push(self.starved_picks);
-        w.push(self.bypass_increments);
-        w.push_words(&self.queue_depth.encode_words());
-        w.push_words(&self.wait_ps.encode_words());
-        w.push_words(&self.interbank_delay_ps.encode_words());
-    }
-
-    /// Restores state written by [`snapshot_into`](Self::snapshot_into).
+    /// Walks this state through a checkpoint cursor.
     ///
     /// # Errors
     ///
     /// Errors on a truncated or malformed word stream.
-    pub fn restore_from(&mut self, r: &mut SnapshotReader) -> Result<(), String> {
-        self.decisions = r.take()?;
-        self.starved_picks = r.take()?;
-        self.bypass_increments = r.take()?;
-        self.queue_depth = Log2Histogram::decode_words(r.take_words()?)?;
-        self.wait_ps = Log2Histogram::decode_words(r.take_words()?)?;
-        self.interbank_delay_ps = Log2Histogram::decode_words(r.take_words()?)?;
-        Ok(())
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.u64(&mut self.decisions)?;
+        c.u64(&mut self.starved_picks)?;
+        c.u64(&mut self.bypass_increments)?;
+        walk_histogram(c, &mut self.queue_depth)?;
+        walk_histogram(c, &mut self.wait_ps)?;
+        walk_histogram(c, &mut self.interbank_delay_ps)
     }
 }
 
@@ -90,29 +78,15 @@ impl EngineTelemetry {
         }
     }
 
-    /// Appends this state to a checkpoint word stream.
-    pub fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        w.push_words(&self.bank_acts);
-        w.push(self.precharges);
-    }
-
-    /// Restores state written by [`snapshot_into`](Self::snapshot_into).
+    /// Walks this state through a checkpoint cursor.
     ///
     /// # Errors
     ///
     /// Errors on a truncated word stream or a bank-count mismatch.
-    pub fn restore_from(&mut self, r: &mut SnapshotReader) -> Result<(), String> {
-        let acts = r.take_words()?;
-        if acts.len() != self.bank_acts.len() {
-            return Err(format!(
-                "telemetry bank count mismatch: checkpoint has {}, session has {}",
-                acts.len(),
-                self.bank_acts.len()
-            ));
-        }
-        self.bank_acts = acts.to_vec();
-        self.precharges = r.take()?;
-        Ok(())
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.fixed(self.bank_acts.len(), "telemetry banks")?;
+        self.bank_acts.iter_mut().try_for_each(|a| c.u64(a))?;
+        c.u64(&mut self.precharges)
     }
 }
 
@@ -153,28 +127,37 @@ impl SessionTelemetry {
         self.serviced_series.observe(completion_ps, self.serviced);
     }
 
-    /// Appends this state to a checkpoint word stream.
-    pub fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        w.push(self.generated);
-        w.push(self.admitted);
-        w.push(self.serviced);
-        w.push_words(&self.ring_depth.encode_words());
-        w.push_words(&self.serviced_series.encode_words());
-    }
-
-    /// Restores state written by [`snapshot_into`](Self::snapshot_into).
+    /// Walks this state through a checkpoint cursor.
     ///
     /// # Errors
     ///
     /// Errors on a truncated or malformed word stream.
-    pub fn restore_from(&mut self, r: &mut SnapshotReader) -> Result<(), String> {
-        self.generated = r.take()?;
-        self.admitted = r.take()?;
-        self.serviced = r.take()?;
-        self.ring_depth = Log2Histogram::decode_words(r.take_words()?)?;
-        self.serviced_series = TimeSeries::decode_words(r.take_words()?)?;
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.u64(&mut self.generated)?;
+        c.u64(&mut self.admitted)?;
+        c.u64(&mut self.serviced)?;
+        walk_histogram(c, &mut self.ring_depth)?;
+        let mut words = self.serviced_series.encode_words();
+        walk_words(c, &mut words)?;
+        self.serviced_series = TimeSeries::decode_words(&words)?;
         Ok(())
     }
+}
+
+/// A histogram as the counted list of its `mint-obs` word encoding.
+fn walk_histogram(c: &mut StateCursor, h: &mut Log2Histogram) -> Result<(), String> {
+    let mut words = h.encode_words();
+    walk_words(c, &mut words)?;
+    *h = Log2Histogram::decode_words(&words)?;
+    Ok(())
+}
+
+/// A length-prefixed word list (an encoded histogram or time series,
+/// which checks its own length on decode).
+fn walk_words(c: &mut StateCursor, words: &mut Vec<u64>) -> Result<(), String> {
+    let len = c.count(words.len(), usize::MAX, "telemetry words")?;
+    words.resize(len, 0);
+    words.iter_mut().try_for_each(|w| c.u64(w))
 }
 
 /// Drains every layer of a finished run into a [`TelemetryReport`].
@@ -289,6 +272,21 @@ pub fn collect_report(
 mod tests {
     use super::*;
 
+    fn save(walk: impl FnOnce(&mut StateCursor) -> Result<(), String>) -> Vec<u64> {
+        let mut c = StateCursor::saving();
+        walk(&mut c).unwrap();
+        c.finish().unwrap()
+    }
+
+    fn load(
+        words: &[u64],
+        walk: impl FnOnce(&mut StateCursor) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut c = StateCursor::loading(words);
+        walk(&mut c)?;
+        c.finish().map(drop)
+    }
+
     #[test]
     fn sched_telemetry_words_round_trip() {
         let mut t = SchedTelemetry {
@@ -300,13 +298,9 @@ mod tests {
         t.queue_depth.record(3);
         t.wait_ps.record(1_500);
         t.interbank_delay_ps.record(0);
-        let mut w = SnapshotWriter::new();
-        t.snapshot_into(&mut w);
-        let ckpt = w.into_checkpoint();
-        let mut r = SnapshotReader::new(&ckpt.words);
+        let words = save(|c| t.walk_state(c));
         let mut back = SchedTelemetry::default();
-        back.restore_from(&mut r).unwrap();
-        r.finish().unwrap();
+        load(&words, |c| back.walk_state(c)).unwrap();
         assert_eq!(back, t);
     }
 
@@ -315,17 +309,12 @@ mod tests {
         let mut t = EngineTelemetry::new(4);
         t.bank_acts[1] = 7;
         t.precharges = 3;
-        let mut w = SnapshotWriter::new();
-        t.snapshot_into(&mut w);
-        let ckpt = w.into_checkpoint();
+        let words = save(|c| t.walk_state(c));
         let mut back = EngineTelemetry::new(4);
-        let mut r = SnapshotReader::new(&ckpt.words);
-        back.restore_from(&mut r).unwrap();
-        r.finish().unwrap();
+        load(&words, |c| back.walk_state(c)).unwrap();
         assert_eq!(back, t);
         let mut wrong = EngineTelemetry::new(8);
-        let mut r = SnapshotReader::new(&ckpt.words);
-        assert!(wrong.restore_from(&mut r).is_err());
+        assert!(load(&words, |c| wrong.walk_state(c)).is_err());
     }
 
     #[test]
@@ -337,13 +326,9 @@ mod tests {
         t.note_service(250);
         assert_eq!(t.serviced, 1);
         assert_eq!(t.serviced_series.points(), &[(100, 1), (200, 1)]);
-        let mut w = SnapshotWriter::new();
-        t.snapshot_into(&mut w);
-        let ckpt = w.into_checkpoint();
+        let words = save(|c| t.walk_state(c));
         let mut back = SessionTelemetry::new(100);
-        let mut r = SnapshotReader::new(&ckpt.words);
-        back.restore_from(&mut r).unwrap();
-        r.finish().unwrap();
+        load(&words, |c| back.walk_state(c)).unwrap();
         assert_eq!(back, t);
     }
 }

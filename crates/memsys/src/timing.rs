@@ -21,7 +21,7 @@
 //! times are monotone) and answers "when may the next ACT/CAS go".
 
 use crate::config::SystemConfig;
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
+use mint_core::StateCursor;
 
 /// The inter-bank constraint set, in picoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,79 +229,39 @@ impl TimingState {
         }
     }
 
-    /// Serialises the command history (the constraint set itself is
-    /// rebuilt from config on restore).
-    pub(crate) fn snapshot_into(&self, w: &mut SnapshotWriter) {
-        w.push(self.ranks.len() as u64);
-        for r in &self.ranks {
-            for &a in &r.acts {
-                w.push(a);
-            }
-            w.push(u64::from(r.head));
-            w.push(u64::from(r.act_count));
-            match r.last_act {
-                Some((t, bg)) => {
-                    w.push_bool(true);
-                    w.push(t);
-                    w.push_u32(bg);
-                }
-                None => {
-                    w.push_bool(false);
-                    w.push(0);
-                    w.push_u32(0);
-                }
-            }
-        }
-        match self.last_cas {
-            Some((t, bg)) => {
-                w.push_bool(true);
-                w.push(t);
-                w.push_u32(bg);
-            }
-            None => {
-                w.push_bool(false);
-                w.push(0);
-                w.push_u32(0);
-            }
-        }
-    }
-
-    /// Restores the history captured by [`snapshot_into`](Self::snapshot_into)
-    /// into a state built for the same topology.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), String> {
-        let ranks = usize::try_from(r.take()?)
-            .map_err(|_| "timing: rank count overflows usize".to_string())?;
-        if ranks != self.ranks.len() {
-            return Err(format!(
-                "timing: checkpoint has {ranks} ranks, state has {}",
-                self.ranks.len()
-            ));
-        }
+    /// Walks the command history (the constraint set itself is rebuilt
+    /// from config on restore): per rank the tFAW ring, its head and
+    /// count, and the last ACT; then the last CAS.
+    pub(crate) fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.fixed(self.ranks.len(), "timing ranks")?;
         for rank in &mut self.ranks {
-            for a in &mut rank.acts {
-                *a = r.take()?;
-            }
-            let head = r.take()?;
-            if head >= 4 {
-                return Err(format!("timing: ring head {head} out of range"));
+            rank.acts.iter_mut().try_for_each(|a| c.u64(a))?;
+            let (mut head, mut act_count) = (u64::from(rank.head), u64::from(rank.act_count));
+            c.u64(&mut head)?;
+            c.u64(&mut act_count)?;
+            if head >= 4 || act_count > 4 {
+                return Err(format!(
+                    "timing: ring head {head} / count {act_count} out of range"
+                ));
             }
             rank.head = head as u8;
-            let act_count = r.take()?;
-            if act_count > 4 {
-                return Err(format!("timing: act count {act_count} out of range"));
-            }
             rank.act_count = act_count as u8;
-            let valid = r.take_bool()?;
-            let t = r.take()?;
-            let bg = r.take_u32()?;
-            rank.last_act = valid.then_some((t, bg));
+            walk_last(c, &mut rank.last_act)?;
         }
-        let valid = r.take_bool()?;
-        let t = r.take()?;
-        let bg = r.take_u32()?;
-        self.last_cas = valid.then_some((t, bg));
-        Ok(())
+        walk_last(c, &mut self.last_cas)
     }
+}
+
+/// A last-command horizon `(time, bank group)` as a padded option:
+/// `[valid, time, bank_group]`.
+fn walk_last(c: &mut StateCursor, last: &mut Option<(u64, u32)>) -> Result<(), String> {
+    let (mut t, mut bg) = last.unwrap_or((0, 0));
+    let valid = c.padded(last.is_some(), |c| {
+        c.u64(&mut t)?;
+        c.u32(&mut bg)
+    })?;
+    *last = valid.then_some((t, bg));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 //! synthetic streams.
 
 use crate::address::AddressDecoder;
+use mint_core::StateCursor;
 use mint_rng::{Rng64, SplitMix64};
 use std::collections::VecDeque;
 use std::fmt;
@@ -135,7 +136,7 @@ pub fn mixes() -> Vec<[WorkloadSpec; 4]> {
 /// address plus the compute gap preceding it. The channel's
 /// [`AddressDecoder`] slices the address into
 /// bank/row/column coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Request {
     /// Physical byte address of the accessed cache line.
     pub addr: u64,
@@ -186,24 +187,18 @@ pub trait RequestSource {
         }
     }
 
-    /// The source's stream position as checkpoint words, or `None` when
-    /// the source does not support checkpoint/restore (the default —
-    /// [`Session::run_until`](crate::Session::run_until) then refuses to
-    /// pause rather than silently losing the stream).
-    fn snapshot_state(&self) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Restores the position captured by
-    /// [`snapshot_state`](Self::snapshot_state) into a freshly built
-    /// source of the same stream.
+    /// Walks the source's stream position through a checkpoint cursor
+    /// (see [`StateCursor`]): saving appends it, loading restores it
+    /// into a freshly built source of the same stream. The default
+    /// refuses, so [`Session::run_until`](crate::Session::run_until)
+    /// returns an error rather than silently losing the stream.
     ///
     /// # Errors
     ///
     /// Errors when the source does not support checkpointing or the words
     /// do not describe its stream.
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let _ = state;
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let _ = c;
         Err("this request source does not support checkpoint/restore".to_string())
     }
 }
@@ -301,33 +296,21 @@ impl RequestSource for CoreStream {
     /// `[rng, last-valid, bank, row]` — the RNG stream position plus the
     /// row-locality memory (spec, decoder and think time are rebuilt from
     /// the run spec).
-    fn snapshot_state(&self) -> Option<Vec<u64>> {
-        let (valid, bank, row) = match self.last {
-            Some((b, r)) => (1, u64::from(b), u64::from(r)),
-            None => (0, 0, 0),
-        };
-        Some(vec![self.rng.state(), valid, bank, row])
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let [rng, valid, bank, row] = state else {
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let mut rng = self.rng.state();
+        c.u64(&mut rng)?;
+        self.rng = SplitMix64::new(rng);
+        let (mut bank, mut row) = self.last.unwrap_or((0, 0));
+        let valid = c.padded(self.last.is_some(), |c| {
+            c.u32(&mut bank)?;
+            c.u32(&mut row)
+        })?;
+        if valid && (bank >= self.banks || row >= self.rows) {
             return Err(format!(
-                "CoreStream: expected 4 state words, got {}",
-                state.len()
+                "CoreStream: last row {row} of bank {bank} is outside the organisation"
             ));
-        };
-        self.rng = SplitMix64::new(*rng);
-        self.last = match valid {
-            0 => None,
-            1 => {
-                let bank = u32::try_from(*bank)
-                    .map_err(|_| format!("CoreStream: bank {bank} exceeds u32"))?;
-                let row = u32::try_from(*row)
-                    .map_err(|_| format!("CoreStream: row {row} exceeds u32"))?;
-                Some((bank, row))
-            }
-            other => return Err(format!("CoreStream: bad last-valid flag {other}")),
-        };
+        }
+        self.last = valid.then_some((bank, row));
         Ok(())
     }
 }
@@ -521,26 +504,18 @@ impl RequestSource for TraceSource {
 
     /// `[pos]` — the cursor into the parsed trace (the entries themselves
     /// are rebuilt by re-parsing the trace file named in the run spec).
-    fn snapshot_state(&self) -> Option<Vec<u64>> {
-        Some(vec![self.pos as u64])
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let [pos] = state else {
-            return Err(format!(
-                "TraceSource: expected 1 state word, got {}",
-                state.len()
-            ));
-        };
-        let pos = usize::try_from(*pos)
-            .map_err(|_| format!("TraceSource: position {pos} exceeds usize"))?;
-        if pos > self.entries.len() {
-            return Err(format!(
-                "TraceSource: position {pos} past end of {}-entry trace",
-                self.entries.len()
-            ));
-        }
-        self.pos = pos;
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let mut pos = self.pos as u64;
+        c.u64(&mut pos)?;
+        self.pos = usize::try_from(pos)
+            .ok()
+            .filter(|&p| p <= self.entries.len())
+            .ok_or_else(|| {
+                format!(
+                    "TraceSource: position {pos} past end of {}-entry trace",
+                    self.entries.len()
+                )
+            })?;
         Ok(())
     }
 }
@@ -783,7 +758,12 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(batched.snapshot_state(), sequential.snapshot_state());
+            let words = |s: &mut CoreStream| {
+                let mut c = StateCursor::saving();
+                s.walk_state(&mut c).expect("a live stream saves");
+                c.finish().expect("saving finishes")
+            };
+            assert_eq!(words(&mut batched), words(&mut sequential));
         });
     }
 

@@ -241,6 +241,13 @@ fn spawn_workers<'scope>(
             let waited = job.submitted.elapsed();
             let picked = Instant::now();
             let line = run_job(&job, &shared.cancels);
+            // A cancel is spent once a job with its id has answered, so a
+            // later submit reusing the id runs normally.
+            shared
+                .cancels
+                .lock()
+                .expect("cancel set lock")
+                .remove(&job.id);
             {
                 let mut stats = shared.stats.lock().expect("stats lock");
                 stats.jobs_completed += 1;
@@ -440,6 +447,25 @@ mod tests {
     const GRID: &str =
         "schemes = Baseline MINT\nworkloads = mcf lbm\nrequests = 300\nseed_base = 5";
 
+    /// A plain submit envelope: no seed base, no timeout.
+    fn submit(id: u64, spec: &str) -> String {
+        Envelope::Submit {
+            id,
+            spec: spec.to_string(),
+            seed_base: None,
+            timeout_ms: None,
+        }
+        .to_line()
+    }
+
+    /// The batch runner's answer to cell `spec`, through the wire formatter.
+    fn batch_line(id: u64, spec: &str) -> String {
+        let Scenario::Cell(cell) = parse_any(spec).unwrap() else {
+            panic!("cell spec");
+        };
+        wire::ok_cell_line(id, &cell.scheme.label(), &cell.run().unwrap())
+    }
+
     fn serve_lines(workers: usize, input: &str) -> (ServeSummary, Vec<String>) {
         let mut out = Vec::new();
         let summary = Service::new()
@@ -453,20 +479,8 @@ mod tests {
     #[test]
     fn output_bytes_are_worker_count_invariant_and_match_batch() {
         let input = [
-            Envelope::Submit {
-                id: 1,
-                spec: CELL.to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
-            Envelope::Submit {
-                id: 2,
-                spec: GRID.to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
+            submit(1, CELL),
+            submit(2, GRID),
             Envelope::Submit {
                 id: 3,
                 spec: CELL.to_string(),
@@ -522,21 +536,9 @@ mod tests {
         // cancel set when a worker picks the job up.
         let input = [
             Envelope::Cancel { id: 5 }.to_line(),
-            Envelope::Submit {
-                id: 5,
-                spec: CELL.to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
+            submit(5, CELL),
             Envelope::Shutdown.to_line(),
-            Envelope::Submit {
-                id: 6,
-                spec: CELL.to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
+            submit(6, CELL),
         ]
         .join("\n");
         let (summary, lines) = serve_lines(2, &input);
@@ -554,16 +556,42 @@ mod tests {
     }
 
     #[test]
+    fn a_cancel_is_spent_on_the_job_it_stops() {
+        // One worker keeps the two same-id jobs in order: the first is
+        // cancelled and answers so, which spends the cancel; the second
+        // runs.
+        let input = [
+            Envelope::Cancel { id: 9 }.to_line(),
+            submit(9, CELL),
+            submit(9, CELL),
+        ];
+        let (summary, lines) = serve_lines(1, &input.join("\n"));
+        assert_eq!(summary.submitted, 2);
+        assert_eq!(
+            lines,
+            [
+                wire::cancel_ack_line(9),
+                wire::error_line(Some(9), "cancelled"),
+                batch_line(9, CELL)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cell_crossing_slice_boundaries_answers_like_the_batch_run() {
+        // 4 cores × 20 000 requests = 80 000 > `CHUNK`: the answer comes
+        // from a session paused at the slice boundary and resumed from
+        // its checkpoint.
+        let spec = "scheme = mint\nworkload = mcf\nrequests = 20000\nseed = 9";
+        let (_, lines) = serve_lines(1, &submit(4, spec));
+        assert_eq!(lines, [batch_line(4, spec)]);
+    }
+
+    #[test]
     fn bad_lines_and_bad_specs_report_without_stopping_the_stream() {
         let input = [
             "{\"v\":1,\"id\":1,\"op\":\"conga\"}".to_string(),
-            Envelope::Submit {
-                id: 2,
-                spec: "scheme = mnit\nworkload = mcf".to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
+            submit(2, "scheme = mnit\nworkload = mcf"),
             Envelope::Submit {
                 id: 3,
                 spec: CELL.to_string(),
@@ -593,20 +621,8 @@ mod tests {
         // Two per-core workloads on the 4-core default: the job answers
         // an error and the valid job queued behind it still runs.
         let input = [
-            Envelope::Submit {
-                id: 1,
-                spec: "scheme = mint\nworkload = mcf+lbm\nrequests = 200".to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
-            Envelope::Submit {
-                id: 2,
-                spec: CELL.to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
+            submit(1, "scheme = mint\nworkload = mcf+lbm\nrequests = 200"),
+            submit(2, CELL),
         ]
         .join("\n");
         for workers in [1, 2] {
@@ -629,17 +645,7 @@ mod tests {
     #[test]
     fn telemetry_jobs_carry_stats_and_stats_verb_answers() {
         let telem_cell = format!("{CELL}\ntelemetry = on");
-        let input = [
-            Envelope::Submit {
-                id: 1,
-                spec: telem_cell.clone(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
-            Envelope::Stats { id: 2 }.to_line(),
-        ]
-        .join("\n");
+        let input = [submit(1, &telem_cell), Envelope::Stats { id: 2 }.to_line()].join("\n");
         let (summary, lines) = serve_lines(2, &input);
         assert_eq!(summary.submitted, 1);
         assert_eq!(lines.len(), 2);
@@ -659,16 +665,7 @@ mod tests {
 
         // A non-telemetry job's line is byte-identical to the pre-stats
         // wire format — the fragment only appears when asked for.
-        let (_, plain) = serve_lines(
-            1,
-            &Envelope::Submit {
-                id: 1,
-                spec: CELL.to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line(),
-        );
+        let (_, plain) = serve_lines(1, &submit(1, CELL));
         assert!(!plain[0].contains("\"stats\""), "{}", plain[0]);
     }
 
@@ -702,22 +699,13 @@ mod tests {
             tries += 1;
         }
 
-        let submit = |id: u64| {
-            Envelope::Submit {
-                id,
-                spec: CELL.to_string(),
-                seed_base: None,
-                timeout_ms: None,
-            }
-            .to_line()
-        };
         // Two clients submit interleaved jobs concurrently; each must
         // read back exactly its own jobs, in its own submission order.
         let client = |ids: Vec<u64>, path: std::path::PathBuf| {
             std::thread::spawn(move || {
                 let mut stream = UnixStream::connect(&path).unwrap();
                 for id in &ids {
-                    writeln!(stream, "{}", submit(*id)).unwrap();
+                    writeln!(stream, "{}", submit(*id, CELL)).unwrap();
                 }
                 stream.shutdown(std::net::Shutdown::Write).unwrap();
                 let reader = BufReader::new(stream);

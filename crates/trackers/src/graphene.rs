@@ -1,7 +1,7 @@
 //! Graphene: the memory-controller-side Misra-Gries tracker used in the
 //! paper's storage comparison (Table IX).
 
-use mint_core::{InDramTracker, MitigationDecision};
+use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 use std::collections::HashMap;
@@ -163,12 +163,8 @@ impl InDramTracker for Graphene {
         self.table.clear();
     }
 
-    fn snapshot_state(&self) -> Vec<u64> {
-        crate::table_words::snapshot_table(&self.table)
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        crate::table_words::restore_table(state, self.name(), self.config.entries, &mut self.table)
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        crate::table_words::walk_table(c, self.name(), self.config.entries, &mut self.table)
     }
 }
 

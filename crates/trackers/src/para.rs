@@ -1,6 +1,6 @@
 //! InDRAM-PARA: the paper's present-centric strawman (§III).
 
-use mint_core::{InDramTracker, MitigationDecision};
+use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 
@@ -102,13 +102,8 @@ impl InDramTracker for InDramPara {
     }
 
     /// `[sar_valid, sar_row]`.
-    fn snapshot_state(&self) -> Vec<u64> {
-        snapshot_sar(self.sar)
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        self.sar = restore_sar(state, self.name())?;
-        Ok(())
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        walk_sar(c, &mut self.sar)
     }
 }
 
@@ -182,35 +177,18 @@ impl InDramTracker for InDramParaNoOverwrite {
     }
 
     /// `[sar_valid, sar_row]`.
-    fn snapshot_state(&self) -> Vec<u64> {
-        snapshot_sar(self.sar)
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        self.sar = restore_sar(state, self.name())?;
-        Ok(())
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        walk_sar(c, &mut self.sar)
     }
 }
 
-/// The shared `[valid, row]` encoding of both variants' single register.
-fn snapshot_sar(sar: Option<RowId>) -> Vec<u64> {
-    vec![u64::from(sar.is_some()), u64::from(sar.map_or(0, |r| r.0))]
-}
-
-fn restore_sar(state: &[u64], name: &str) -> Result<Option<RowId>, String> {
-    let [valid, row] = state else {
-        return Err(format!(
-            "{name}: expected 2 state words, got {}",
-            state.len()
-        ));
-    };
-    match valid {
-        0 => Ok(None),
-        1 => u32::try_from(*row)
-            .map(|r| Some(RowId(r)))
-            .map_err(|_| format!("{name}: SAR row {row} exceeds u32")),
-        v => Err(format!("{name}: SAR valid bit {v} not 0/1")),
-    }
+/// The shared `[valid, row]` walk of both variants' single register (the
+/// row word is zero while the register is empty).
+fn walk_sar(c: &mut StateCursor, sar: &mut Option<RowId>) -> Result<(), String> {
+    let mut row = sar.unwrap_or_default();
+    let valid = c.padded(sar.is_some(), |c| c.u32(&mut row.0))?;
+    *sar = valid.then_some(row);
+    Ok(())
 }
 
 #[cfg(test)]

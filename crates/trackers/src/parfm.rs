@@ -1,6 +1,6 @@
 //! PARFM: buffer every activation, mitigate one at random (paper §V-G).
 
-use mint_core::{InDramTracker, MitigationDecision};
+use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 
@@ -118,33 +118,12 @@ impl InDramTracker for Parfm {
 
     /// `[overflow, len, rows…]` in buffer order (order matters: mitigation
     /// indexes the buffer with an RNG draw).
-    fn snapshot_state(&self) -> Vec<u64> {
-        let mut words = vec![self.overflow, self.buffer.len() as u64];
-        words.extend(self.buffer.iter().map(|r| u64::from(r.0)));
-        words
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let [overflow, len, rows @ ..] = state else {
-            return Err("PARFM: truncated state".to_string());
-        };
-        let len = usize::try_from(*len).map_err(|_| "PARFM: buffer length overflow".to_string())?;
-        if len > self.capacity {
-            return Err(format!(
-                "PARFM: {len} buffered exceeds capacity {}",
-                self.capacity
-            ));
-        }
-        if rows.len() != len {
-            return Err(format!("PARFM: expected {len} rows, got {}", rows.len()));
-        }
-        self.overflow = *overflow;
-        self.buffer.clear();
-        for &w in rows {
-            let row = u32::try_from(w).map_err(|_| format!("PARFM: row {w} exceeds u32"))?;
-            self.buffer.push(RowId(row));
-        }
-        Ok(())
+    /// `[overflow, len, row…]` — the buffer in its RNG-indexed order.
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.u64(&mut self.overflow)?;
+        let len = c.count(self.buffer.len(), self.capacity, "PARFM buffer")?;
+        self.buffer.resize(len, RowId(0));
+        self.buffer.iter_mut().try_for_each(|row| c.u32(&mut row.0))
     }
 }
 

@@ -1,6 +1,6 @@
 //! PRCT: the idealized Per-Row Counter-Table (paper §II-H).
 
-use mint_core::{InDramTracker, MitigationDecision};
+use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 use std::collections::HashMap;
@@ -132,17 +132,8 @@ impl InDramTracker for Prct {
         self.counters.clear();
     }
 
-    fn snapshot_state(&self) -> Vec<u64> {
-        crate::table_words::snapshot_table(&self.counters)
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        crate::table_words::restore_table(
-            state,
-            self.name(),
-            self.rows as usize,
-            &mut self.counters,
-        )
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        crate::table_words::walk_table(c, self.name(), self.rows as usize, &mut self.counters)
     }
 }
 

@@ -1,6 +1,6 @@
 //! PrIDE: PARA sampling into a small FIFO (paper §IX related work).
 
-use mint_core::{InDramTracker, MitigationDecision};
+use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 use std::collections::VecDeque;
@@ -121,33 +121,12 @@ impl InDramTracker for Pride {
     }
 
     /// `[lost, len, rows…]` in FIFO order (head first).
-    fn snapshot_state(&self) -> Vec<u64> {
-        let mut words = vec![self.lost, self.fifo.len() as u64];
-        words.extend(self.fifo.iter().map(|r| u64::from(r.0)));
-        words
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let [lost, len, rows @ ..] = state else {
-            return Err("PrIDE: truncated state".to_string());
-        };
-        let len = usize::try_from(*len).map_err(|_| "PrIDE: FIFO length overflow".to_string())?;
-        if len > self.capacity {
-            return Err(format!(
-                "PrIDE: {len} queued exceeds capacity {}",
-                self.capacity
-            ));
-        }
-        if rows.len() != len {
-            return Err(format!("PrIDE: expected {len} rows, got {}", rows.len()));
-        }
-        self.lost = *lost;
-        self.fifo.clear();
-        for &w in rows {
-            let row = u32::try_from(w).map_err(|_| format!("PrIDE: row {w} exceeds u32"))?;
-            self.fifo.push_back(RowId(row));
-        }
-        Ok(())
+    /// `[lost, len, row…]` — the FIFO oldest first.
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        c.u64(&mut self.lost)?;
+        let len = c.count(self.fifo.len(), self.capacity, "PrIDE FIFO")?;
+        self.fifo.resize(len, RowId(0));
+        self.fifo.iter_mut().try_for_each(|row| c.u32(&mut row.0))
     }
 }
 

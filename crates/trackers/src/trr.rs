@@ -1,7 +1,7 @@
 //! A vendor-TRR-like low-cost tracker (paper §II-F): few entries, easily
 //! defeated by many-aggressor patterns.
 
-use mint_core::{InDramTracker, MitigationDecision};
+use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
 
@@ -128,38 +128,14 @@ impl InDramTracker for SimpleTrr {
     /// influences decisions — eviction and mitigation both use total
     /// `(count, row)` orders — but preserving it keeps the restored state
     /// literally identical).
-    fn snapshot_state(&self) -> Vec<u64> {
-        let mut words = vec![self.table.len() as u64];
-        for (row, count) in &self.table {
-            words.push(u64::from(row.0));
-            words.push(*count);
-        }
-        words
-    }
-
-    fn restore_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let (&len, rest) = state
-            .split_first()
-            .ok_or_else(|| "TRR: truncated state".to_string())?;
-        let len = usize::try_from(len).map_err(|_| "TRR: table length overflow".to_string())?;
-        if len > self.capacity {
-            return Err(format!(
-                "TRR: {len} entries exceed capacity {}",
-                self.capacity
-            ));
-        }
-        if rest.len() != 2 * len {
-            return Err(format!(
-                "TRR: expected {} table words, got {}",
-                2 * len,
-                rest.len()
-            ));
-        }
-        self.table.clear();
-        for pair in rest.chunks_exact(2) {
-            let row =
-                u32::try_from(pair[0]).map_err(|_| format!("TRR: row {} exceeds u32", pair[0]))?;
-            self.table.push((RowId(row), pair[1]));
+    /// `[len, row₀, count₀, …]` — the table in its own order, which
+    /// decides eviction ties.
+    fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
+        let len = c.count(self.table.len(), self.capacity, "TRR table")?;
+        self.table.resize(len, (RowId(0), 0));
+        for (row, count) in &mut self.table {
+            c.u32(&mut row.0)?;
+            c.u64(count)?;
         }
         Ok(())
     }

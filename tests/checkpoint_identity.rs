@@ -11,25 +11,18 @@
 //! (before the first service decision), tiny prefixes (mid-tFAW window,
 //! pending requests in flight), the middle of the run (mid-tREFI, REF
 //! and mitigation state live), and the penultimate request. Schemes
-//! cover the stateless baseline, MINT's REF-riding sampler, RFM's RAA
-//! counters, MC-PARA's per-ACT RNG, and two zoo trackers with tables
-//! (Graphene) and FIFOs (PrIDE); topologies cover the Table VI 1×1 DIMM
-//! and a 2-channel × 2-rank scale-out. A digest test pins the `MINTCKPT`
-//! bytes themselves, not just their round trip.
+//! cover the whole zoo — the stateless baseline, MINT's REF-riding
+//! sampler, RFM's RAA counters, MC-PARA's per-ACT RNG, the hash-table
+//! trackers (Graphene, Mithril, ProTRR, PRCT), TRR's ordered table and
+//! the FIFO/buffer trackers (PrIDE, PARFM); topologies cover the Table
+//! VI 1×1 DIMM and a 2-channel × 2-rank scale-out. Digest tests pin the
+//! `MINTCKPT` bytes themselves, per scheme and topology, not just their
+//! round trip.
 
 use mint_memsys::{
     parse_trace, workload_by_name, Checkpoint, MitigationScheme, RunReport, Session, SessionRun,
     Sim, SystemConfig, CHECKPOINT_VERSION,
 };
-
-const SCHEMES: [MitigationScheme; 6] = [
-    MitigationScheme::Baseline,
-    MitigationScheme::Mint,
-    MitigationScheme::MintRfm { rfm_th: 16 },
-    MitigationScheme::McPara { p: 1.0 / 64.0 },
-    MitigationScheme::Graphene,
-    MitigationScheme::Pride,
-];
 
 const REQUESTS_PER_CORE: u32 = 700;
 
@@ -160,7 +153,7 @@ fn telemetry_counters_survive_checkpoint_splits_bit_exactly() {
 fn resume_is_bit_identical_on_the_table6_dimm() {
     let cfg = topology(1, 1);
     let total = u64::from(REQUESTS_PER_CORE) * 4;
-    for scheme in SCHEMES {
+    for scheme in MitigationScheme::zoo() {
         let straight = session(scheme, cfg).run();
         for k in [0, 1, 3, total / 2, total - 1] {
             split_matches(scheme, cfg, k, &straight);
@@ -172,7 +165,7 @@ fn resume_is_bit_identical_on_the_table6_dimm() {
 fn resume_is_bit_identical_on_a_two_by_two_dimm() {
     let cfg = topology(2, 2);
     let total = u64::from(REQUESTS_PER_CORE) * 4;
-    for scheme in SCHEMES {
+    for scheme in MitigationScheme::zoo() {
         let straight = session(scheme, cfg).run();
         for k in [0, 1, 3, total / 2, total - 1] {
             split_matches(scheme, cfg, k, &straight);
@@ -306,6 +299,145 @@ fn mintckpt_bytes_of_a_midpoint_pause_are_pinned() {
         (225_000, 0x6f8c_eb65_9032_1cc6),
         "MINTCKPT layout of the 2ch x 2rk captured midpoint pause changed"
     );
+}
+
+/// A serialized checkpoint's `(byte length, FNV-1a)`.
+type Digest = (usize, u64);
+
+/// `(scheme label, digest on 1ch x 1rk, digest on 2ch x 2rk)` of every
+/// zoo scheme's midpoint pause of [`session`], recorded with
+/// `CHECKPOINT_VERSION` 1: a change to any walk's layout must bump the
+/// version and re-record them.
+const ZOO_DIGESTS: [(&str, Digest, Digest); 12] = [
+    (
+        "Baseline",
+        (73_576, 0xeae3_07f9_c4a9_9e18),
+        (77_608, 0x5b45_33a7_80c2_8dd0),
+    ),
+    (
+        "MINT",
+        (75_688, 0xc1cd_92f6_09df_4f58),
+        (83_176, 0xb1f6_f6e6_8e57_2fce),
+    ),
+    (
+        "MINT+RFM32",
+        (76_648, 0x9d3e_5b85_8fdb_d676),
+        (83_560, 0x461d_334a_caf5_8c31),
+    ),
+    (
+        "MINT+RFM16",
+        (79_400, 0xc656_cf48_3d2b_32cd),
+        (85_096, 0x7e31_a8dc_71ca_be16),
+    ),
+    (
+        "MC-PARA(1/40)",
+        (75_880, 0x3518_fcd3_9da0_f09d),
+        (81_480, 0x1d6e_c919_3304_52b8),
+    ),
+    (
+        "Graphene",
+        (91_016, 0xc519_14aa_5385_e9f6),
+        (95_816, 0xe563_a19e_04a6_7f5f),
+    ),
+    (
+        "Mithril",
+        (95_784, 0x0cc7_279f_e8f5_646a),
+        (105_784, 0xf486_a71f_ad51_6162),
+    ),
+    (
+        "ProTRR",
+        (110_984, 0xcb59_6505_8064_43e7),
+        (118_968, 0x211c_4f01_7131_e977),
+    ),
+    (
+        "TRR",
+        (85_800, 0x1a16_53c5_b30a_f7f2),
+        (101_784, 0x835d_5dec_1c10_735a),
+    ),
+    (
+        "PRCT",
+        (95_736, 0xe2ec_f2a5_08b3_ab19),
+        (105_752, 0xfdc1_7f18_7779_a600),
+    ),
+    (
+        "PrIDE",
+        (74_648, 0xb28d_412a_4ace_f5e3),
+        (79_984, 0xb5d5_7954_b0c1_4f02),
+    ),
+    (
+        "PARFM",
+        (79_072, 0x2c0f_fa9d_4b65_be08),
+        (91_488, 0x6ee8_1d81_2d48_3c7d),
+    ),
+];
+
+#[test]
+fn mintckpt_bytes_of_every_zoo_scheme_are_pinned() {
+    assert_eq!(CHECKPOINT_VERSION, 1);
+    let zoo = MitigationScheme::zoo();
+    assert_eq!(zoo.len(), ZOO_DIGESTS.len());
+    let total = u64::from(REQUESTS_PER_CORE) * 4;
+    for (scheme, &(label, one, two)) in zoo.into_iter().zip(&ZOO_DIGESTS) {
+        assert_eq!(scheme.label(), label, "zoo order");
+        for (cfg, want) in [(topology(1, 1), one), (topology(2, 2), two)] {
+            let SessionRun::Paused(ckpt) = session(scheme, cfg)
+                .run_until(total / 2)
+                .expect("pausable run")
+            else {
+                panic!("{label}: a midpoint stop must pause");
+            };
+            let bytes = ckpt.to_bytes();
+            assert_eq!(
+                (bytes.len(), fnv1a64(&bytes)),
+                want,
+                "{label} {}ch x {}rk: MINTCKPT layout of the midpoint pause changed",
+                cfg.channels,
+                cfg.ranks
+            );
+        }
+    }
+}
+
+#[test]
+fn mintckpt_bytes_with_telemetry_words_are_pinned() {
+    // Telemetry words ride behind each layer's stable layout; these pin
+    // them for the one-entry tracker and the largest table tracker.
+    let total = u64::from(REQUESTS_PER_CORE) * 4;
+    for (scheme, one, two) in [
+        (
+            MitigationScheme::Mint,
+            (5_856, 0x502d_24b2_6a7d_3d4a),
+            (15_992, 0x66d3_2c03_09c0_2256),
+        ),
+        (
+            MitigationScheme::Prct,
+            (22_960, 0x4dcb_fcec_b6bc_1ddf),
+            (31_080, 0xe229_c2f2_89c9_da26),
+        ),
+    ] {
+        for (cfg, want) in [(topology(1, 1), one), (topology(2, 2), two)] {
+            let mcf = workload_by_name("mcf").expect("workload in the suite");
+            let SessionRun::Paused(ckpt) = Sim::new(cfg)
+                .scheme(scheme)
+                .workload(&[mcf; 4], REQUESTS_PER_CORE)
+                .seed(23)
+                .telemetry()
+                .build()
+                .run_until(total / 2)
+                .expect("pausable run")
+            else {
+                panic!("a midpoint stop must pause");
+            };
+            let bytes = ckpt.to_bytes();
+            assert_eq!(
+                (bytes.len(), fnv1a64(&bytes)),
+                want,
+                "{scheme:?} {}ch x {}rk: telemetry MINTCKPT layout changed",
+                cfg.channels,
+                cfg.ranks
+            );
+        }
+    }
 }
 
 #[test]
