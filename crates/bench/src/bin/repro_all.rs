@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Each experiment fans its sweep points / Monte-Carlo trials out through
-//! the `mint-exp` harness. Worker count defaults to
+//! `mint_exp::par_map`. Worker count defaults to
 //! `available_parallelism`; pin it with `--jobs N` (also `-j N`) or the
 //! `MINT_JOBS` environment variable — results are identical either way:
 //!

@@ -1,6 +1,6 @@
 //! Runs a declarative scenario file end-to-end: a single `ScenarioSpec`
 //! cell or a `schemes × workloads` `ScenarioGrid`, straight through the
-//! `Sim` builder (grids fan out via the `mint-exp` harness, bit-identical
+//! `Sim` builder (grids fan out through `mint_exp::par_map`, bit-identical
 //! for any `--jobs` count).
 //!
 //! ```bash

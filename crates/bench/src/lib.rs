@@ -11,7 +11,7 @@
 //! cargo run --release -p mint-bench --bin table3_tracker_comparison
 //! ```
 //!
-//! Sweeps and Monte-Carlo batches fan out through the `mint-exp` harness
+//! Sweeps and Monte-Carlo batches fan out through `mint_exp::par_map`
 //! (order-preserving, so rendered tables are byte-identical for any worker
 //! count); every binary accepts `--jobs N` / `MINT_JOBS` to pin
 //! parallelism.

@@ -2,7 +2,7 @@
 //!
 //! Every (workload, scheme) cell is an independent seeded run, so the full
 //! grids fan out through [`mint_memsys::ScenarioGrid`] (which rides the
-//! `mint-exp` sweep harness). Rows are assembled and averaged in workload
+//! `mint_exp::par_map`). Rows are assembled and averaged in workload
 //! order, so the rendered tables are byte-identical for any worker count.
 
 use crate::titled;

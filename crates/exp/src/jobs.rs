@@ -3,7 +3,7 @@
 //! Resolution order (first match wins):
 //!
 //! 1. an explicit `Option<usize>` at the call site
-//!    ([`Harness::jobs`](crate::Harness::jobs), [`par_map_jobs`](crate::par_map_jobs));
+//!    ([`par_map_jobs`](crate::par_map_jobs));
 //! 2. the process-wide override set by [`set_jobs`] (the binaries' `--jobs N`
 //!    flag via [`init_jobs_from_args`]);
 //! 3. the `MINT_JOBS` environment variable;

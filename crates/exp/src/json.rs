@@ -14,7 +14,8 @@
 //! with `\uXXXX` escapes incl. surrogate pairs, numbers, literals) but
 //! keeps the representation deliberately small: numbers are `f64`, and
 //! object members stay in document order in a `Vec` (duplicate keys:
-//! first wins on [`Json::get`]).
+//! first wins on [`Json::get`]). Arrays and objects nest at most 64
+//! deep, so a hostile line cannot overflow the stack.
 
 /// Escapes `s` for placement inside a JSON string literal (without the
 /// surrounding quotes).
@@ -41,6 +42,10 @@ pub fn quote(s: &str) -> String {
     format!("\"{}\"", escape(s))
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Wire envelopes
+/// nest one level; each level costs a few stack frames of recursion.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value. Numbers are `f64` (exact for the integer range
 /// the wire envelopes use, |n| ≤ 2⁵³); object members keep document
 /// order.
@@ -66,11 +71,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the byte offset and what went wrong.
+    /// Returns a message naming the byte offset and what went wrong,
+    /// including arrays and objects nested more than 64 deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -135,6 +142,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -172,8 +181,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -182,6 +191,21 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected byte 0x{b:02x} at byte {}", self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -284,13 +308,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (the input is a &str,
-                    // so a char boundary always exists here).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary of
+                    // the input &str.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]);
+                    out.push_str(run.expect("input was a &str"));
                 }
             }
         }
@@ -335,6 +361,11 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{7}f — ünïcode 🦀";
         let parsed = Json::parse(&quote(nasty)).unwrap();
         assert_eq!(parsed.as_str(), Some(nasty));
+        // Megabytes parse in one pass: each plain run is copied once
+        // (re-validating the rest of the input per character was
+        // quadratic in the length).
+        let long = nasty.repeat(100_000);
+        assert_eq!(Json::parse(&quote(&long)).unwrap().as_str(), Some(&*long));
     }
 
     #[test]
@@ -373,6 +404,21 @@ mod tests {
         let v = Json::parse(r#""🦀""#).unwrap();
         assert_eq!(v.as_str(), Some("🦀"));
         assert!(Json::parse(r#""\ud83e""#).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + &close.repeat(depth);
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        assert!(Json::parse(&nest("[", "]", 100_000)).is_err());
+        assert!(Json::parse(&nest("{\"a\":", "}", 100_000)).is_err());
+        assert!(
+            Json::parse(&"[{\"a\":".repeat(50_000)).is_err(),
+            "mixed and unclosed"
+        );
     }
 
     #[test]

@@ -73,7 +73,8 @@ impl MitigationScheme {
     /// case-insensitively (`"baseline"`, `"mint"`, `"MINT+RFM16"`,
     /// `"mc-para(1/40)"`, …) — the inverse of `label`, used by the
     /// declarative [`ScenarioSpec`](crate::ScenarioSpec) text format.
-    /// Returns `None` for unknown schemes.
+    /// Returns `None` for unknown schemes and for `MINT+RFM<n>` outside
+    /// `1 ≤ n < u32::MAX` (MINT's selection span is `n + 1`).
     #[must_use]
     pub fn parse(s: &str) -> Option<MitigationScheme> {
         let lower = s.trim().to_ascii_lowercase();
@@ -93,7 +94,7 @@ impl MitigationScheme {
             return th
                 .parse()
                 .ok()
-                .filter(|&rfm_th| rfm_th > 0)
+                .filter(|&rfm_th| (1..u32::MAX).contains(&rfm_th))
                 .map(|rfm_th| MitigationScheme::MintRfm { rfm_th });
         }
         // "mc-para(1/40)": the label renders the sampling rate as a

@@ -44,7 +44,7 @@
 //! Scenarios can also be described *as data*: a [`ScenarioSpec`] is one
 //! cell in a small `key = value` text format that deserializes into a
 //! builder, and a [`ScenarioGrid`] fans a scheme × workload grid through
-//! the `mint-exp` harness, bit-identically for any `--jobs` count (see
+//! `mint_exp::par_map`, bit-identically for any `--jobs` count (see
 //! [`scenario`]).
 //!
 //! Absolute IPC differs from the authors' testbed; the normalized

@@ -7,7 +7,7 @@
 //! (same conventions as [`parse_trace`](crate::parse_trace): `#`
 //! comments, blank lines ignored, line-numbered errors, no external
 //! dependencies). A [`ScenarioGrid`] is a scheme × workload grid that
-//! fans its cells through the `mint-exp` harness, normalizing each
+//! fans its cells through `mint_exp::par_map`, normalizing each
 //! workload row against the first scheme — bit-identical for any
 //! `--jobs` count, and cell-for-cell identical to running each [`Sim`]
 //! by hand.
@@ -188,9 +188,9 @@ pub enum ScenarioFrontend {
 /// | `policy` | a [`SchedulePolicy::parse`] label | FR-FCFS |
 /// | `mapping` | an [`AddressMapping::parse`] label | `RoBaRaCoCh` |
 /// | `seed` | master seed (u64) | 0 |
-/// | `cores` | request-generating cores (nonzero) | target config's |
-/// | `channels` | memory channels (nonzero power of two) | target config's |
-/// | `ranks` | ranks per channel (nonzero power of two) | target config's |
+/// | `cores` | request-generating cores (1 to 1024) | target config's |
+/// | `channels` | memory channels (power of two, 1 to 64) | target config's |
+/// | `ranks` | ranks per channel (power of two, 1 to 16) | target config's |
 /// | `workload` | a [`WorkloadCell`] token | — |
 /// | `requests` | LLC misses per core (workload frontend) | 10000 |
 /// | `trace` | path to a trace file | — |
@@ -278,10 +278,11 @@ impl ScenarioSpec {
                     spec.cores = Some(parse_cores(&value).map_err(&err)?);
                 }
                 "channels" => {
-                    spec.channels = Some(parse_topology("channels", &value).map_err(&err)?);
+                    spec.channels =
+                        Some(parse_topology("channels", MAX_CHANNELS, &value).map_err(&err)?);
                 }
                 "ranks" => {
-                    spec.ranks = Some(parse_topology("ranks", &value).map_err(&err)?);
+                    spec.ranks = Some(parse_topology("ranks", MAX_RANKS, &value).map_err(&err)?);
                 }
                 "workload" => {
                     set_frontend(
@@ -386,8 +387,7 @@ impl ScenarioSpec {
     }
 }
 
-/// A declarative scheme × workload grid, run through the `mint-exp`
-/// harness.
+/// A declarative scheme × workload grid.
 ///
 /// Every `(workload, scheme)` cell is an independent seeded [`Sim`] run
 /// (workload `w` always runs with `seeds[w]`, so every scheme faces
@@ -567,10 +567,11 @@ impl ScenarioGrid {
                     grid.cfg.cores = parse_cores(&value).map_err(&err)?;
                 }
                 "channels" => {
-                    grid.cfg.channels = parse_topology("channels", &value).map_err(&err)?;
+                    grid.cfg.channels =
+                        parse_topology("channels", MAX_CHANNELS, &value).map_err(&err)?;
                 }
                 "ranks" => {
-                    grid.cfg.ranks = parse_topology("ranks", &value).map_err(&err)?;
+                    grid.cfg.ranks = parse_topology("ranks", MAX_RANKS, &value).map_err(&err)?;
                 }
                 "seed_base" => {
                     had_seed_base = true;
@@ -741,13 +742,24 @@ fn parse_requests(value: &str) -> Result<u32, String> {
     }
 }
 
-/// Parses a `cores` value: any nonzero count — cores are request
+/// Largest `cores` a scenario may ask for. With [`MAX_CHANNELS`] and
+/// [`MAX_RANKS`] it bounds what one spec can make the process allocate
+/// (per-core rings, per-channel banks and queues), far above any
+/// evaluated system (32 cores on 4 channels × 2 ranks).
+const MAX_CORES: u32 = 1024;
+/// Largest `channels` a scenario may ask for.
+const MAX_CHANNELS: u32 = 64;
+/// Largest `ranks` (per channel) a scenario may ask for.
+const MAX_RANKS: u32 = 16;
+
+/// Parses a `cores` value: a count in `1..=MAX_CORES` — cores are request
 /// generators, not address bits, so unlike `channels`/`ranks` they need
 /// not be a power of two (mixes still demand exactly one spec per core,
 /// checked when the workload cell resolves).
 fn parse_cores(value: &str) -> Result<u32, String> {
     match value.parse::<u32>() {
         Ok(0) => Err("bad cores 0: need at least one core".to_owned()),
+        Ok(n) if n > MAX_CORES => Err(format!("bad cores {n}: at most {MAX_CORES}")),
         Ok(n) => Ok(n),
         Err(e) => Err(format!("bad cores {value:?}: {e}")),
     }
@@ -765,9 +777,10 @@ fn parse_switch(key: &str, value: &str) -> Result<bool, String> {
 /// Parses a topology axis (`channels` / `ranks`): a nonzero power of two,
 /// because the decoder slices the physical address with bit masks — any
 /// other count would silently alias banks instead of failing here with a
-/// line number.
-fn parse_topology(key: &str, value: &str) -> Result<u32, String> {
+/// line number — and at most `max`.
+fn parse_topology(key: &str, max: u32, value: &str) -> Result<u32, String> {
     match value.parse::<u32>() {
+        Ok(n) if n > max => Err(format!("bad {key} {n}: at most {max}")),
         Ok(n) if n.is_power_of_two() => Ok(n),
         Ok(n) => Err(format!("bad {key} {n}: need a nonzero power of two")),
         Err(e) => Err(format!("bad {key} {value:?}: {e}")),
@@ -975,6 +988,17 @@ mod tests {
             ("workload = lbm\nchannels = x\n", 2, "bad channels"),
             ("workload = lbm\nranks = 0\n", 2, "nonzero power of two"),
             ("workload = lbm\nranks = -1\n", 2, "bad ranks"),
+            ("workload = lbm\ncores = 1025\n", 2, "at most 1024"),
+            ("workload = lbm\ncores = 4294967295\n", 2, "at most 1024"),
+            ("workload = lbm\nchannels = 128\n", 2, "at most 64"),
+            ("workload = lbm\nchannels = 2147483648\n", 2, "at most 64"),
+            ("workload = lbm\nranks = 32\n", 2, "at most 16"),
+            ("workload = lbm\nranks = 1073741824\n", 2, "at most 16"),
+            (
+                "workload = lbm\nscheme = MINT+RFM4294967295\n",
+                2,
+                "unknown scheme",
+            ),
             ("workload = nosuch\n", 1, "unknown workload"),
             ("workload = mix99\n", 1, "out of range"),
             ("workload = lbm\nworkload = mcf\n", 2, "duplicate key"),
@@ -1053,6 +1077,42 @@ mod tests {
         let e = ScenarioGrid::parse("schemes = zoo\nworkloads = mcf\nchannels = 6\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.reason.contains("nonzero power of two"), "{}", e.reason);
+        // The caps admit the largest system and refuse beyond it, with
+        // the cell parsers' line-numbered errors.
+        let max = ScenarioGrid::parse(
+            "schemes = mint\nworkloads = mcf\ncores = 1024\nchannels = 64\nranks = 16\n",
+        )
+        .unwrap();
+        assert_eq!(
+            (max.cfg.cores, max.cfg.channels, max.cfg.ranks),
+            (1024, 64, 16)
+        );
+        for (text, line, needle) in [
+            (
+                "schemes = mint\nworkloads = mcf\ncores = 4294967295\n",
+                3,
+                "at most 1024",
+            ),
+            (
+                "schemes = mint\nworkloads = mcf\nchannels = 2147483648\n",
+                3,
+                "at most 64",
+            ),
+            (
+                "workloads = mcf\nranks = 1073741824\nschemes = mint\n",
+                2,
+                "at most 16",
+            ),
+            (
+                "schemes = mint MINT+RFM4294967295\nworkloads = mcf\n",
+                1,
+                "unknown scheme",
+            ),
+        ] {
+            let e = ScenarioGrid::parse(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.reason.contains(needle), "{text:?} → {}", e.reason);
+        }
     }
 
     #[test]
@@ -1206,6 +1266,17 @@ mod tests {
             assert_eq!(AddressMapping::parse(mapping.label()), Some(mapping));
         }
         assert_eq!(MitigationScheme::parse("bogus"), None);
+        // MINT's selection span is `rfm_th + 1`: thresholds run 1..u32::MAX.
+        for (label, rfm_th) in [
+            ("MINT+RFM0", None),
+            ("MINT+RFM1", Some(1)),
+            ("MINT+RFM4294967294", Some(u32::MAX - 1)),
+            ("MINT+RFM4294967295", None),
+            ("MINT+RFM4294967296", None),
+        ] {
+            let want = rfm_th.map(|rfm_th| MitigationScheme::MintRfm { rfm_th });
+            assert_eq!(MitigationScheme::parse(label), want, "{label}");
+        }
         assert_eq!(SchedulePolicy::parse("lifo"), None);
         assert_eq!(AddressMapping::parse("RowMajor"), None);
     }

@@ -14,7 +14,7 @@
 //!
 //! Construction fans the per-channel pipelines across worker threads via
 //! [`mint_exp::par_map`] (a channel's mitigation backends can carry
-//! hundreds of thousands of per-row counters), with the harness's usual
+//! hundreds of thousands of per-row counters), with its usual
 //! guarantee: channel `c` seeds its engine from `derive_seed(seed,
 //! 0xC0 + c)` whatever the worker count, so results are bit-identical for
 //! any `--jobs` value — and channel 0's substream is exactly the legacy

@@ -22,8 +22,8 @@
 //!   sweep. Its [`SecurityVerdict`] states, post-run, the maximum hammer
 //!   count any row attained, the margin to a given Rowhammer threshold,
 //!   and which rows escaped or came close.
-//! * [`redteam_sweep`] fans a scheme × pattern grid out through the
-//!   `mint-exp` harness (bit-identical for any `--jobs` count) and adds
+//! * [`redteam_sweep`] fans a scheme × pattern grid out through
+//!   `mint_exp::par_map` (bit-identical for any `--jobs` count) and adds
 //!   per-scheme benign-core slowdown under attack — the
 //!   performance-under-attack axis that DRFM-heavy schemes lose on.
 //!

@@ -1,6 +1,6 @@
 //! Scheme × pattern security sweeps and performance-under-attack co-runs,
-//! fanned out through the `mint-exp` harness (bit-identical for any
-//! worker count).
+//! fanned out through `mint_exp::par_map` (bit-identical for any worker
+//! count).
 
 use crate::oracle::{GroundTruthOracle, OracleSummary, SecurityVerdict};
 use crate::source::AttackSource;

@@ -390,7 +390,7 @@ fn run_job(job: &Job, cancels: &Mutex<HashSet<u64>>) -> String {
             }
             run_cell(job, &spec, cancels)
         }
-        // Grids already fan out via the mint-exp harness; they run
+        // Grids already fan out through mint_exp::par_map; they run
         // whole, so cancel only takes effect while a grid is queued and
         // timeouts do not apply.
         Scenario::Grid(grid) => {

@@ -3,8 +3,8 @@
 use mint_attacks::AccessPattern;
 use mint_core::{InDramTracker, MitigationDecision};
 use mint_dram::{Bank, BankConfig, FailureRecord, RefreshPolicy};
-use mint_exp::{Experiment, Harness, Tally};
-use mint_rng::Rng64;
+use mint_exp::par_map;
+use mint_rng::{derive_seed, Rng64, Xoshiro256StarStar};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -219,39 +219,13 @@ impl Engine {
     }
 }
 
-/// A Monte-Carlo simulation as a `mint-exp` [`Experiment`]: each trial
-/// builds a fresh tracker and pattern from the shared factories, runs one
-/// engine over `config` and yields the [`SimReport`].
-///
-/// Trial `i` draws from the substream `derive_seed(master_seed, i)` — the
-/// factories receive that trial's RNG, so a trial's entire history replays
-/// from its index regardless of which worker thread executes it.
-pub struct MonteCarlo<'a> {
-    /// Per-trial simulation configuration.
-    pub config: SimConfig,
-    /// Builds the tracker under test (seeded from the trial's RNG).
-    pub make_tracker: &'a (dyn Fn(&mut dyn Rng64) -> Box<dyn InDramTracker> + Sync),
-    /// Builds the attack pattern.
-    pub make_pattern: &'a (dyn Fn() -> Box<dyn AccessPattern> + Sync),
-}
-
-impl Experiment for MonteCarlo<'_> {
-    type Outcome = SimReport;
-
-    fn trial(&self, _trial_idx: u64, rng: &mut dyn Rng64) -> SimReport {
-        let mut tracker = (self.make_tracker)(rng);
-        let mut pattern = (self.make_pattern)();
-        Engine::new(self.config).run(tracker.as_mut(), pattern.as_mut(), rng)
-    }
-}
-
 /// Monte-Carlo estimate of the per-tREFW failure probability: runs `trials`
-/// independent single-tREFW simulations through the `mint-exp` harness (in
-/// parallel; bit-identical to a 1-thread run) and returns the number that
-/// failed.
+/// independent single-tREFW simulations and returns the number that failed.
 ///
-/// `make_tracker` and `make_pattern` construct fresh instances per trial;
-/// trial `i` uses the deterministic sub-seed `derive_seed(seed, i)`.
+/// Trial `i` seeds its RNG with `derive_seed(seed, i)`, builds a fresh
+/// tracker (from that RNG) and pattern, and runs one [`Engine`]. Trials fan
+/// out through [`mint_exp::par_map`]; the seed depends on the index alone,
+/// so any worker count counts the same failures.
 ///
 /// # Panics
 ///
@@ -264,14 +238,19 @@ pub fn estimate_failure_prob(
     make_pattern: &(dyn Fn() -> Box<dyn AccessPattern> + Sync),
 ) -> (u32, u32) {
     assert!(trials > 0, "need at least one trial");
-    let experiment = MonteCarlo {
-        config,
-        make_tracker,
-        make_pattern,
-    };
-    let tally =
-        Harness::new(u64::from(trials), seed).run(&experiment, || Tally::new(SimReport::failed));
-    (u32::try_from(tally.hits).expect("hits <= trials"), trials)
+    let indices: Vec<u32> = (0..trials).collect();
+    let failures = par_map(&indices, |_, &trial| {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(derive_seed(seed, u64::from(trial)));
+        let mut tracker = make_tracker(&mut rng);
+        let mut pattern = make_pattern();
+        Engine::new(config)
+            .run(tracker.as_mut(), pattern.as_mut(), &mut rng)
+            .failed()
+    })
+    .into_iter()
+    .filter(|&failed| failed)
+    .count();
+    (u32::try_from(failures).expect("failures <= trials"), trials)
 }
 
 #[cfg(test)]
@@ -283,7 +262,6 @@ mod tests {
     };
     use mint_core::{Dmq, Mint, MintConfig};
     use mint_dram::RowId;
-    use mint_rng::Xoshiro256StarStar;
     use mint_trackers::{Prct, SimpleTrr};
 
     fn rng(seed: u64) -> Xoshiro256StarStar {

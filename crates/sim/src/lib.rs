@@ -24,12 +24,10 @@
 //!   478K of §VI-B).
 //! * **Failure-rate runs** ([`estimate_failure_prob`]) — Monte-Carlo
 //!   estimates of the per-tREFW failure probability at a small threshold,
-//!   cross-validating the Sariou–Wolman analytical model. Trials fan out
-//!   through the `mint-exp` harness ([`MonteCarlo`] is the [`Experiment`]
-//!   impl), run on all cores, and are bit-identical to a 1-thread run.
-//!
-//! [`Experiment`]: mint_exp::Experiment
+//!   cross-validating the Sariou–Wolman analytical model. Trial `i` draws
+//!   from `derive_seed(seed, i)`, and trials fan out through
+//!   [`mint_exp::par_map`], so the count is the same at any worker count.
 
 mod engine;
 
-pub use engine::{estimate_failure_prob, Engine, MonteCarlo, SimConfig, SimReport};
+pub use engine::{estimate_failure_prob, Engine, SimConfig, SimReport};

@@ -216,8 +216,8 @@ mod tests {
         for (row, stored) in m.table.iter() {
             let true_c = true_counts.get(row).copied().unwrap_or(0);
             assert!(
-                *stored >= true_c.saturating_sub(0) || *stored >= 1,
-                "stored {stored} vs true {true_c}"
+                *stored >= true_c,
+                "row {row}: stored {stored} vs true {true_c}"
             );
         }
     }

@@ -124,12 +124,10 @@ impl InDramTracker for SimpleTrr {
         self.table.clear();
     }
 
-    /// `[len, row₀, count₀, …]` in table order (the vector order never
-    /// influences decisions — eviction and mitigation both use total
-    /// `(count, row)` orders — but preserving it keeps the restored state
-    /// literally identical).
-    /// `[len, row₀, count₀, …]` — the table in its own order, which
-    /// decides eviction ties.
+    /// `[len, row₀, count₀, …]` in table order. The order never decides
+    /// eviction or mitigation — both select by a total `(count, row)`
+    /// order — so walking it as stored only keeps the checkpoint bytes
+    /// literal.
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
         let len = c.count(self.table.len(), self.capacity, "TRR table")?;
         self.table.resize(len, (RowId(0), 0));

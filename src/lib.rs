@@ -22,9 +22,9 @@
 //! * [`redteam`] — the adversarial frontend + ground-truth escape oracle
 //!   closing the attacks↔memsys gap (scheme × pattern escape grids,
 //!   performance under attack).
-//! * [`exp`] — the parallel experiment harness every layer above fans its
-//!   trials, sweep points and workload grids through (deterministic:
-//!   N-thread runs are bit-identical to 1-thread runs).
+//! * [`exp`] — the parallel experiment engine (`par_map`) every layer
+//!   above fans its trials, sweep points and workload grids through
+//!   (deterministic: N-thread runs are bit-identical to 1-thread runs).
 //! * [`serve`] — the resident scenario service: a streaming JSON-lines
 //!   job queue (`run_scenario --serve`) over the [`memsys`] checkpoint/
 //!   restore layer, with worker-count-invariant output ordering.

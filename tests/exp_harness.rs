@@ -1,7 +1,7 @@
-//! Determinism contract of the `mint-exp` harness, end to end:
+//! Determinism contract of the `mint-exp` engine, end to end:
 //!
-//! * N-thread and 1-thread runs of the same `Experiment` + master seed
-//!   produce identical aggregates (bitwise, including floats);
+//! * the Monte-Carlo failure estimate fanned out through `par_map` counts
+//!   exactly what a sequential replay of the same per-trial streams counts;
 //! * `derive_seed` fan-out gives distinct per-trial streams (regression);
 //! * a Fig 10-style sweep through `par_map` renders byte-identical output
 //!   at `available_parallelism` and at 1 thread.
@@ -11,70 +11,14 @@ use mint_rh::analysis::{MinTrhSolver, TargetMttf};
 use mint_rh::attacks::Pattern1;
 use mint_rh::core::{Mint, MintConfig};
 use mint_rh::dram::RowId;
-use mint_rh::exp::prop::{forall, u64_in, usize_in};
-use mint_rh::exp::{par_map_jobs, Experiment, Harness, MeanVar, MinMax, Tally, TrialCount};
+use mint_rh::exp::par_map_jobs;
 use mint_rh::rng::{derive_seed, Rng64, Xoshiro256StarStar};
-use mint_rh::sim::{MonteCarlo, SimConfig, SimReport};
+use mint_rh::sim::{estimate_failure_prob, Engine, SimConfig};
 
-/// An experiment whose outcome mixes the trial index and a
-/// index-dependent number of RNG draws, so scheduling bugs (stream
-/// sharing, reordered merges) cannot cancel out.
-struct Mixer;
-
-impl Experiment for Mixer {
-    type Outcome = f64;
-
-    fn trial(&self, trial_idx: u64, rng: &mut dyn Rng64) -> f64 {
-        let mut acc = trial_idx as f64 * 1e-6;
-        for _ in 0..=(trial_idx % 7) {
-            acc += rng.gen_f64();
-        }
-        acc
-    }
-}
-
-type Aggs = (TrialCount, Tally<f64>, MeanVar<f64>, MinMax<f64>);
-
-fn make_aggs() -> Aggs {
-    (
-        TrialCount::new(),
-        Tally::new(|x: &f64| *x > 2.0),
-        MeanVar::new(|x: &f64| *x),
-        MinMax::new(|x: &f64| *x),
-    )
-}
-
-fn assert_bitwise_equal(a: &Aggs, b: &Aggs) {
-    assert_eq!(a.0.trials, b.0.trials);
-    assert_eq!((a.1.hits, a.1.total), (b.1.hits, b.1.total));
-    assert_eq!(a.2.count, b.2.count);
-    assert_eq!(a.2.mean.to_bits(), b.2.mean.to_bits(), "mean differs");
-    assert_eq!(
-        a.2.sample_variance().to_bits(),
-        b.2.sample_variance().to_bits(),
-        "variance differs"
-    );
-    assert_eq!(a.3.min.to_bits(), b.3.min.to_bits());
-    assert_eq!(a.3.max.to_bits(), b.3.max.to_bits());
-}
-
-/// Property: for random trial counts, seeds and worker counts, the
-/// N-thread aggregates equal the 1-thread aggregates bit for bit.
-#[test]
-fn n_thread_equals_one_thread_for_any_shape() {
-    forall(24, 0xE4A1, |case, rng| {
-        let trials = u64_in(rng, 1, 400);
-        let seed = rng.next_u64();
-        let jobs = usize_in(rng, 2, 9);
-        let seq = Harness::new(trials, seed).jobs(1).run(&Mixer, make_aggs);
-        let par = Harness::new(trials, seed).jobs(jobs).run(&Mixer, make_aggs);
-        assert_eq!(seq.0.trials, trials, "case {case}");
-        assert_bitwise_equal(&seq, &par);
-    });
-}
-
-/// The same contract holds for a real Monte-Carlo simulation experiment
-/// (fresh tracker + pattern per trial) at `available_parallelism`.
+/// A real Monte-Carlo simulation (fresh tracker + pattern per trial) fanned
+/// out at the resolved worker count counts exactly the failures of a
+/// sequential loop over the same `derive_seed(seed, i)` streams, and that
+/// count is pinned.
 #[test]
 fn sim_monte_carlo_parallel_is_bit_identical() {
     let cfg = SimConfig {
@@ -82,26 +26,26 @@ fn sim_monte_carlo_parallel_is_bit_identical() {
         ..SimConfig::small()
     }
     .with_trh(500);
-    let experiment = MonteCarlo {
-        config: cfg,
-        make_tracker: &|r| Box::new(Mint::new(MintConfig::ddr5_default(), r)),
-        make_pattern: &|| Box::new(Pattern1::new(RowId(2000))),
-    };
-    let aggs = || {
-        (
-            Tally::new(SimReport::failed),
-            MeanVar::new(|r: &SimReport| f64::from(r.max_hammers)),
-            MinMax::new(|r: &SimReport| r.demand_acts as f64),
-        )
-    };
-    let n = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let seq = Harness::new(200, 0xF00D).jobs(1).run(&experiment, aggs);
-    let par = Harness::new(200, 0xF00D).jobs(n).run(&experiment, aggs);
-    assert_eq!((seq.0.hits, seq.0.total), (par.0.hits, par.0.total));
-    assert_eq!(seq.1.mean.to_bits(), par.1.mean.to_bits());
-    assert_eq!(seq.2.min.to_bits(), par.2.min.to_bits());
-    assert!(seq.0.hits > 0, "threshold chosen so some trials fail");
-    assert!(seq.0.hits < 200, "and some survive");
+    let (trials, seed) = (200u32, 0xF00D);
+    let sequential = (0..u64::from(trials))
+        .filter(|&i| {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(derive_seed(seed, i));
+            let mut tracker = Mint::new(MintConfig::ddr5_default(), &mut rng);
+            let mut pattern = Pattern1::new(RowId(2000));
+            Engine::new(cfg)
+                .run(&mut tracker, &mut pattern, &mut rng)
+                .failed()
+        })
+        .count();
+    let parallel = estimate_failure_prob(
+        cfg,
+        trials,
+        seed,
+        &|r| Box::new(Mint::new(MintConfig::ddr5_default(), r)),
+        &|| Box::new(Pattern1::new(RowId(2000))),
+    );
+    assert_eq!(parallel, (u32::try_from(sequential).unwrap(), trials));
+    assert_eq!(parallel, (22, 200), "some trials fail and some survive");
 }
 
 /// Regression: `derive_seed` fan-out yields pairwise-distinct streams —

@@ -4,13 +4,15 @@
 //! Cases are generated by the deterministic `mint_exp::prop` driver — case
 //! `i` of a suite replays from `derive_seed(suite_seed, i)`.
 
-use mint_rh::core::{Dmq, InDramTracker, Mint, MintConfig, MintRfm, MitigationDecision};
+use mint_rh::core::{
+    Dmq, InDramTracker, Mint, MintConfig, MintRfm, MitigationDecision, RowPressMint,
+};
 use mint_rh::dram::RowId;
 use mint_rh::exp::prop::{forall, u64_in, usize_in, vec_u32};
 use mint_rh::rng::{Rng64, Xoshiro256StarStar};
 use mint_rh::trackers::{
-    InDramPara, InDramParaNoOverwrite, Mithril, MithrilConfig, Parfm, Prct, Pride, ProTrr,
-    ProTrrConfig, SimpleTrr,
+    Graphene, GrapheneConfig, InDramPara, InDramParaNoOverwrite, Mithril, MithrilConfig, Parfm,
+    Prct, Pride, ProTrr, ProTrrConfig, SimpleTrr,
 };
 use std::collections::HashSet;
 
@@ -24,6 +26,12 @@ fn all_trackers(rng: &mut dyn Rng64) -> Vec<Box<dyn InDramTracker>> {
         )),
         Box::new(Dmq::new(Mint::new(MintConfig::ddr5_default(), rng), 73)),
         Box::new(MintRfm::new(32, rng)),
+        Box::new(RowPressMint::new(
+            MintConfig::ddr5_default(),
+            48.0,
+            16.0,
+            rng,
+        )),
         Box::new(InDramPara::new(1.0 / 73.0)),
         Box::new(InDramParaNoOverwrite::new(1.0 / 73.0)),
         Box::new(Parfm::new(73)),
@@ -35,6 +43,10 @@ fn all_trackers(rng: &mut dyn Rng64) -> Vec<Box<dyn InDramTracker>> {
         })),
         Box::new(SimpleTrr::new(16)),
         Box::new(Pride::new(1.0 / 73.0, 4)),
+        Box::new(Graphene::new(GrapheneConfig {
+            entries: 64,
+            mitigation_threshold: 16,
+        })),
     ]
 }
 
