@@ -1,21 +1,46 @@
 //! Micro-benchmarks: per-tREFI cost of every tracker (73 activations +
-//! one refresh decision). Timed with the dependency-free
+//! one refresh decision), in two regimes. Timed with the dependency-free
 //! `mint_exp::stopwatch`.
+//!
+//! * `tracker_per_trefi` — a hot set: the same 73 rows every tREFI, so
+//!   no table ever fills and the table trackers time their hit path.
+//! * `tracker_per_trefi_full_table` — the table trackers on rows striding
+//!   over 4,096, so their tables fill and churn: Mithril replaces its
+//!   minimum, ProTRR and Graphene spill, PRCT scans thousands of counters.
 
 use mint_core::{Dmq, InDramTracker, Mint, MintConfig, MintRfm};
 use mint_dram::RowId;
 use mint_exp::stopwatch::{black_box, Runner};
 use mint_rng::Xoshiro256StarStar;
 use mint_trackers::{
-    InDramPara, InDramParaNoOverwrite, Mithril, MithrilConfig, Parfm, Prct, Pride, ProTrr,
-    ProTrrConfig, SimpleTrr,
+    Graphene, GrapheneConfig, InDramPara, InDramParaNoOverwrite, Mithril, MithrilConfig, Parfm,
+    Prct, Pride, ProTrr, ProTrrConfig, SimpleTrr,
 };
 
-fn one_trefi(tracker: &mut dyn InDramTracker, rng: &mut Xoshiro256StarStar) {
+/// Rows the full-table regime cycles through, and the stride it visits
+/// them with (odd, so one cycle touches every row).
+const CHURN_ROWS: u32 = 4096;
+const CHURN_STRIDE: u32 = 677;
+
+fn hot_trefi(tracker: &mut dyn InDramTracker, rng: &mut Xoshiro256StarStar) {
     for k in 0..73u32 {
         let _ = tracker.on_activation(RowId(1000 + k), rng);
     }
     black_box(tracker.on_refresh(rng));
+}
+
+fn churn_trefi(tracker: &mut dyn InDramTracker, rng: &mut Xoshiro256StarStar, next: &mut u32) {
+    for _ in 0..73 {
+        *next = (*next + CHURN_STRIDE) % CHURN_ROWS;
+        let _ = tracker.on_activation(RowId(*next), rng);
+    }
+    black_box(tracker.on_refresh(rng));
+}
+
+/// Graphene at the zoo's sizing: threshold 1,400 over one tREFW of
+/// MaxACT activations.
+fn graphene() -> Graphene {
+    Graphene::new(GrapheneConfig::for_threshold(1400, 73 * 8192))
 }
 
 fn main() {
@@ -33,6 +58,7 @@ fn main() {
     let mut protrr = ProTrr::new(ProTrrConfig::default());
     let mut trr = SimpleTrr::new(16);
     let mut pride = Pride::new(1.0 / 73.0, 4);
+    let mut graphene_hot = graphene();
 
     let mut cases: Vec<(&str, &mut dyn InDramTracker)> = vec![
         ("MINT", &mut mint),
@@ -46,8 +72,25 @@ fn main() {
         ("ProTRR-677", &mut protrr),
         ("TRR-16", &mut trr),
         ("PrIDE", &mut pride),
+        ("Graphene", &mut graphene_hot),
     ];
     for (name, tracker) in &mut cases {
-        runner.bench(name, || one_trefi(&mut **tracker, &mut rng));
+        runner.bench(name, || hot_trefi(&mut **tracker, &mut rng));
+    }
+
+    let mut runner = Runner::new("tracker_per_trefi_full_table");
+    let mut prct = Prct::new(128 * 1024);
+    let mut mithril = Mithril::new(MithrilConfig::table3());
+    let mut protrr = ProTrr::new(ProTrrConfig::default());
+    let mut graphene = graphene();
+    let mut cases: Vec<(&str, &mut dyn InDramTracker)> = vec![
+        ("PRCT", &mut prct),
+        ("Mithril-677", &mut mithril),
+        ("ProTRR-677", &mut protrr),
+        ("Graphene", &mut graphene),
+    ];
+    for (name, tracker) in &mut cases {
+        let mut next = 0;
+        runner.bench(name, || churn_trefi(&mut **tracker, &mut rng, &mut next));
     }
 }

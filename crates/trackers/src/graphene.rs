@@ -1,10 +1,10 @@
 //! Graphene: the memory-controller-side Misra-Gries tracker used in the
 //! paper's storage comparison (Table IX).
 
+use crate::count_table::CountTable;
 use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// Configuration of a [`Graphene`] tracker.
 ///
@@ -76,7 +76,7 @@ impl GrapheneConfig {
 #[derive(Debug, Clone)]
 pub struct Graphene {
     config: GrapheneConfig,
-    table: HashMap<RowId, u64>,
+    table: CountTable,
 }
 
 impl Graphene {
@@ -94,7 +94,7 @@ impl Graphene {
         );
         Self {
             config,
-            table: HashMap::with_capacity(config.entries),
+            table: CountTable::new(config.entries),
         }
     }
 
@@ -107,7 +107,7 @@ impl Graphene {
     /// Tracked count for `row`.
     #[must_use]
     pub fn count(&self, row: RowId) -> Option<u64> {
-        self.table.get(&row).copied()
+        self.table.get(row)
     }
 
     /// Resets the table (Graphene does this every reset window).
@@ -118,23 +118,19 @@ impl Graphene {
 
 impl InDramTracker for Graphene {
     fn on_activation(&mut self, row: RowId, _rng: &mut dyn Rng64) -> Option<MitigationDecision> {
-        if let Some(c) = self.table.get_mut(&row) {
-            *c += 1;
-            if *c >= self.config.mitigation_threshold {
-                self.table.remove(&row);
+        if let Some(c) = self.table.increment(row) {
+            if c >= self.config.mitigation_threshold {
+                self.table.remove(row);
                 return Some(MitigationDecision::Aggressor(row));
             }
             return None;
         }
-        if self.table.len() < self.config.entries {
-            self.table.insert(row, 1);
+        if !self.table.is_full() {
+            self.table.set(row, 1);
             return None;
         }
         // Misra-Gries spill: decrement all, evict zeros.
-        self.table.retain(|_, c| {
-            *c -= 1;
-            *c > 0
-        });
+        self.table.decrement_all();
         None
     }
 
@@ -164,7 +160,7 @@ impl InDramTracker for Graphene {
     }
 
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
-        crate::table_words::walk_table(c, self.name(), self.config.entries, &mut self.table)
+        self.table.walk(c, self.name())
     }
 }
 
@@ -172,6 +168,7 @@ impl InDramTracker for Graphene {
 mod tests {
     use super::*;
     use mint_rng::Xoshiro256StarStar;
+    use std::collections::HashMap;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)

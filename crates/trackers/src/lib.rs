@@ -23,7 +23,20 @@
 //!
 //! \*immune because their direct-attack MinTRH already exceeds what a
 //! transitive attack can deliver (§V-G).
+//!
+//! The four counter-table trackers — Mithril, PRCT, ProTRR and Graphene —
+//! keep their row counts in one crate-private `CountTable`, so they share
+//! one tie rule (minimum by `(count, smaller row)`, maximum by `(count,
+//! then smaller row)`) and one checkpoint walk (entries sorted by row;
+//! counts of 0 or 2^63 and above refused). A hit is one hash-map
+//! increment; the maximum and the Misra-Gries decrement scan the map once
+//! per REF or spill; Mithril's space-saving minimum, asked on every miss
+//! of a full table, comes from a lazily built min-heap in amortized
+//! O(log n). `tests/count_table_oracle.rs` replays random streams through
+//! each of the four next to the original full-scan tables. TRR keeps its
+//! 16-entry vector: at that size a linear scan is the cheapest table.
 
+mod count_table;
 mod graphene;
 mod mithril;
 mod para;
@@ -31,7 +44,6 @@ mod parfm;
 mod prct;
 mod pride;
 mod protrr;
-mod table_words;
 mod trr;
 
 pub use graphene::{Graphene, GrapheneConfig};

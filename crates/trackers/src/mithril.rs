@@ -1,9 +1,9 @@
 //! Mithril: counter-based-summary tracking (paper §II-G).
 
+use crate::count_table::CountTable;
 use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// Configuration of a [`Mithril`] tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,7 @@ impl MithrilConfig {
 pub struct Mithril {
     config: MithrilConfig,
     /// (row → counter); size bounded by `config.entries`.
-    table: HashMap<RowId, u64>,
+    table: CountTable,
 }
 
 impl Mithril {
@@ -68,14 +68,14 @@ impl Mithril {
         assert!(config.entries > 0, "Mithril needs at least one entry");
         Self {
             config,
-            table: HashMap::with_capacity(config.entries),
+            table: CountTable::new(config.entries),
         }
     }
 
     /// Stored (over-approximate) count for `row`, if tracked.
     #[must_use]
     pub fn count(&self, row: RowId) -> Option<u64> {
-        self.table.get(&row).copied()
+        self.table.get(row)
     }
 
     /// Number of occupied entries.
@@ -84,31 +84,28 @@ impl Mithril {
         self.table.len()
     }
 
-    fn min_count(&self) -> u64 {
-        if self.table.len() < self.config.entries {
+    fn min_count(&mut self) -> u64 {
+        if !self.table.is_full() {
             // Space-saving treats unoccupied slots as count 0.
             return 0;
         }
-        self.table.values().copied().min().unwrap_or(0)
+        self.table.min().map_or(0, |(_, min)| min)
     }
 
     fn observe(&mut self, row: RowId) {
-        if let Some(c) = self.table.get_mut(&row) {
-            *c += 1;
+        if self.table.increment(row).is_some() {
             return;
         }
-        if self.table.len() < self.config.entries {
-            self.table.insert(row, 1);
+        if !self.table.is_full() {
+            self.table.set(row, 1);
             return;
         }
         // Replace a minimum entry; inherit min + 1.
-        let (&victim, &min) = self
+        let (_, min) = self
             .table
-            .iter()
-            .min_by(|a, b| a.1.cmp(b.1).then_with(|| a.0.cmp(b.0)))
+            .pop_min()
             .expect("table is full, hence non-empty");
-        self.table.remove(&victim);
-        self.table.insert(row, min + 1);
+        self.table.set(row, min + 1);
     }
 }
 
@@ -123,22 +120,16 @@ impl InDramTracker for Mithril {
     }
 
     fn on_refresh(&mut self, _rng: &mut dyn Rng64) -> MitigationDecision {
-        let Some((&row, &max)) = self
-            .table
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        else {
+        // Every live count is at least 1 (the walk refuses 0).
+        let Some((row, max)) = self.table.max() else {
             return MitigationDecision::None;
         };
-        if max == 0 {
-            return MitigationDecision::None;
-        }
         let min = self.min_count();
         let remaining = max.saturating_sub(min.max(1));
         if remaining == 0 {
-            self.table.remove(&row);
+            self.table.remove(row);
         } else {
-            self.table.insert(row, remaining);
+            self.table.set(row, remaining);
         }
         MitigationDecision::Aggressor(row)
     }
@@ -165,7 +156,7 @@ impl InDramTracker for Mithril {
     }
 
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
-        crate::table_words::walk_table(c, self.name(), self.config.entries, &mut self.table)
+        self.table.walk(c, self.name())
     }
 }
 
@@ -173,6 +164,7 @@ impl InDramTracker for Mithril {
 mod tests {
     use super::*;
     use mint_rng::Xoshiro256StarStar;
+    use std::collections::HashMap;
 
     fn rng(seed: u64) -> Xoshiro256StarStar {
         Xoshiro256StarStar::seed_from_u64(seed)
@@ -213,12 +205,13 @@ mod tests {
                 );
             }
         }
-        for (row, stored) in m.table.iter() {
-            let true_c = true_counts.get(row).copied().unwrap_or(0);
-            assert!(
-                *stored >= true_c,
-                "row {row}: stored {stored} vs true {true_c}"
-            );
+        for (row, &true_c) in &true_counts {
+            if let Some(stored) = m.count(*row) {
+                assert!(
+                    stored >= true_c,
+                    "row {row}: stored {stored} vs true {true_c}"
+                );
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! PRCT: the idealized Per-Row Counter-Table (paper §II-H).
 
+use crate::count_table::CountTable;
 use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// The idealized Per-Row Counter-Table: one activation counter per DRAM row,
 /// held in SRAM (impractically large — 128K entries per bank — but the
@@ -45,7 +45,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct Prct {
     rows: u32,
-    counters: HashMap<RowId, u64>,
+    counters: CountTable,
 }
 
 impl Prct {
@@ -59,14 +59,14 @@ impl Prct {
         assert!(rows > 0, "PRCT needs at least one row");
         Self {
             rows,
-            counters: HashMap::new(),
+            counters: CountTable::growing(rows as usize),
         }
     }
 
     /// Current counter value for `row`.
     #[must_use]
     pub fn count(&self, row: RowId) -> u64 {
-        self.counters.get(&row).copied().unwrap_or(0)
+        self.counters.get(row).unwrap_or(0)
     }
 
     /// Number of rows with a non-zero counter.
@@ -76,16 +76,9 @@ impl Prct {
     }
 
     fn bump(&mut self, row: RowId) {
-        *self.counters.entry(row).or_insert(0) += 1;
-    }
-
-    /// The row with the maximum counter (ties broken towards the smaller
-    /// row id for determinism).
-    fn argmax(&self) -> Option<RowId> {
-        self.counters
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(row, _)| *row)
+        if self.counters.increment(row).is_none() {
+            self.counters.set(row, 1);
+        }
     }
 }
 
@@ -102,9 +95,9 @@ impl InDramTracker for Prct {
     }
 
     fn on_refresh(&mut self, _rng: &mut dyn Rng64) -> MitigationDecision {
-        match self.argmax() {
-            Some(row) => {
-                self.counters.remove(&row);
+        match self.counters.max() {
+            Some((row, _)) => {
+                self.counters.remove(row);
                 MitigationDecision::Aggressor(row)
             }
             None => MitigationDecision::None,
@@ -133,7 +126,7 @@ impl InDramTracker for Prct {
     }
 
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
-        crate::table_words::walk_table(c, self.name(), self.rows as usize, &mut self.counters)
+        self.counters.walk(c, self.name())
     }
 }
 

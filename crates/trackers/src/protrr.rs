@@ -1,9 +1,9 @@
 //! ProTRR-style Misra-Gries victim tracking (paper §II-G).
 
+use crate::count_table::CountTable;
 use mint_core::{InDramTracker, MitigationDecision, StateCursor};
 use mint_dram::RowId;
 use mint_rng::Rng64;
-use std::collections::HashMap;
 
 /// Configuration of a [`ProTrr`] tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +61,7 @@ impl Default for ProTrrConfig {
 #[derive(Debug, Clone)]
 pub struct ProTrr {
     config: ProTrrConfig,
-    table: HashMap<RowId, u64>,
+    table: CountTable,
 }
 
 impl ProTrr {
@@ -75,14 +75,14 @@ impl ProTrr {
         assert!(config.entries > 0, "ProTRR needs at least one entry");
         Self {
             config,
-            table: HashMap::with_capacity(config.entries),
+            table: CountTable::new(config.entries),
         }
     }
 
     /// Tracked count for a victim row.
     #[must_use]
     pub fn count(&self, victim: RowId) -> Option<u64> {
-        self.table.get(&victim).copied()
+        self.table.get(victim)
     }
 
     /// Number of occupied entries.
@@ -92,19 +92,15 @@ impl ProTrr {
     }
 
     fn insert_victim(&mut self, victim: RowId) {
-        if let Some(c) = self.table.get_mut(&victim) {
-            *c += 1;
+        if self.table.increment(victim).is_some() {
             return;
         }
-        if self.table.len() < self.config.entries {
-            self.table.insert(victim, 1);
+        if !self.table.is_full() {
+            self.table.set(victim, 1);
             return;
         }
         // Misra-Gries: decrement everyone, evict zeros.
-        self.table.retain(|_, c| {
-            *c -= 1;
-            *c > 0
-        });
+        self.table.decrement_all();
     }
 }
 
@@ -124,14 +120,10 @@ impl InDramTracker for ProTrr {
     }
 
     fn on_refresh(&mut self, _rng: &mut dyn Rng64) -> MitigationDecision {
-        let Some((&victim, _)) = self
-            .table
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        else {
+        let Some((victim, _)) = self.table.max() else {
             return MitigationDecision::None;
         };
-        self.table.remove(&victim);
+        self.table.remove(victim);
         MitigationDecision::VictimRefresh(victim)
     }
 
@@ -157,7 +149,7 @@ impl InDramTracker for ProTrr {
     }
 
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
-        crate::table_words::walk_table(c, self.name(), self.config.entries, &mut self.table)
+        self.table.walk(c, self.name())
     }
 }
 

@@ -127,13 +127,15 @@ impl InDramTracker for SimpleTrr {
     /// `[len, row₀, count₀, …]` in table order. The order never decides
     /// eviction or mitigation — both select by a total `(count, row)`
     /// order — so walking it as stored only keeps the checkpoint bytes
-    /// literal.
+    /// literal. Loading refuses counts no live entry holds (0, or 2^63
+    /// and above).
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
         let len = c.count(self.table.len(), self.capacity, "TRR table")?;
         self.table.resize(len, (RowId(0), 0));
         for (row, count) in &mut self.table {
             c.u32(&mut row.0)?;
             c.u64(count)?;
+            crate::count_table::check_count("TRR table", *row, *count)?;
         }
         Ok(())
     }
@@ -214,6 +216,22 @@ mod tests {
         assert!(trr.on_refresh(&mut r).is_none());
         assert_eq!(trr.entries(), 16);
         assert_eq!(trr.name(), "TRR");
+    }
+
+    #[test]
+    fn walk_refuses_counts_no_run_reaches() {
+        let load = |words: &[u64]| {
+            let mut trr = SimpleTrr::new(2);
+            let mut c = StateCursor::loading(words);
+            trr.walk_state(&mut c)
+                .and_then(|()| c.finish())
+                .map(|_| trr)
+        };
+        assert_eq!(load(&[1, 5, 3]).unwrap().count(RowId(5)), Some(3));
+        for bad in [0, 1 << 63, u64::MAX] {
+            let err = load(&[2, 7, 1, 5, bad]).unwrap_err();
+            assert!(err.contains("row 5 has count"), "{err}");
+        }
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //!    single-rank Table VI topology, the System path reproduces the
 //!    legacy single-`Channel` path *byte for byte*: durations, the full
 //!    [`SimResult`], per-core finish times and request counts, and the
-//!    energy split to the last bit of the f64s. The constants below were
-//!    captured from the pre-refactor scheduler (commit 57b251f) and must
-//!    never drift.
+//!    energy split to the last bit of the f64s. The first three
+//!    constants below were captured from the pre-refactor scheduler
+//!    (commit 57b251f); the last four, one per table tracker on the
+//!    benchmark's mcf zoo cell (4 × 10,000 requests, seed 1), where
+//!    Mithril's 677-entry tables fill and churn, were captured before
+//!    those trackers moved onto the shared `CountTable`. None may ever
+//!    drift.
 //! 2. **Worker-count invariance at scale** — a multi-channel run is
 //!    bit-identical whether the per-channel pipelines are constructed
 //!    and the grid cells fanned out on 1 worker or N.
@@ -42,8 +46,9 @@ struct Golden {
     energy: (f64, f64),
 }
 
-/// Captured from the pre-System scheduler; see the module docs.
-const GOLDENS: [Golden; 3] = [
+/// Captured before the System and count-table refactors; see the module
+/// docs.
+const GOLDENS: [Golden; 7] = [
     Golden {
         name: "mint-frfcfs-mcf",
         scheme: MitigationScheme::Mint,
@@ -94,6 +99,74 @@ const GOLDENS: [Golden; 3] = [
             (106_013_493, 4_000),
         ],
         energy: (2.98980000000000007e-5, 3.65313837530639938e-5),
+    },
+    Golden {
+        name: "mithril-frfcfs-mcf",
+        scheme: MitigationScheme::Mithril,
+        policy: SchedulePolicy::FrFcfs { starvation_cap: 4 },
+        workload: "mcf",
+        requests_per_core: 10_000,
+        seed: 1,
+        duration_ps: 243_969_460,
+        result: (40_000, 9_811, 30_189, 3_960, 0, 0, 28_852, 11_148, 2_016),
+        cores: [
+            (240_997_597, 10_000),
+            (243_969_460, 10_000),
+            (243_801_330, 10_000),
+            (240_238_183, 10_000),
+        ],
+        energy: (7.51278000000000026e-5, 8.70435515169599902e-5),
+    },
+    Golden {
+        name: "protrr-frfcfs-mcf",
+        scheme: MitigationScheme::ProTrr,
+        policy: SchedulePolicy::FrFcfs { starvation_cap: 4 },
+        workload: "mcf",
+        requests_per_core: 10_000,
+        seed: 1,
+        duration_ps: 243_969_460,
+        result: (40_000, 9_811, 30_189, 1_983, 0, 0, 28_852, 11_148, 2_016),
+        cores: [
+            (240_997_597, 10_000),
+            (243_969_460, 10_000),
+            (243_801_330, 10_000),
+            (240_238_183, 10_000),
+        ],
+        energy: (7.07783999999999931e-5, 8.70435515169599902e-5),
+    },
+    Golden {
+        name: "prct-frfcfs-mcf",
+        scheme: MitigationScheme::Prct,
+        policy: SchedulePolicy::FrFcfs { starvation_cap: 4 },
+        workload: "mcf",
+        requests_per_core: 10_000,
+        seed: 1,
+        duration_ps: 243_969_460,
+        result: (40_000, 9_811, 30_189, 3_956, 0, 0, 28_852, 11_148, 2_016),
+        cores: [
+            (240_997_597, 10_000),
+            (243_969_460, 10_000),
+            (243_801_330, 10_000),
+            (240_238_183, 10_000),
+        ],
+        energy: (7.51189999999999969e-5, 8.70435515169599902e-5),
+    },
+    Golden {
+        name: "graphene-frfcfs-mcf",
+        scheme: MitigationScheme::Graphene,
+        policy: SchedulePolicy::FrFcfs { starvation_cap: 4 },
+        workload: "mcf",
+        requests_per_core: 10_000,
+        seed: 1,
+        duration_ps: 243_969_460,
+        result: (40_000, 9_811, 30_189, 0, 0, 0, 28_852, 11_148, 2_016),
+        cores: [
+            (240_997_597, 10_000),
+            (243_969_460, 10_000),
+            (243_801_330, 10_000),
+            (240_238_183, 10_000),
+        ],
+        energy: (6.64157999999999952e-5, 8.70435515169599902e-5),
     },
 ];
 
