@@ -13,8 +13,8 @@
 //! The `1/m` shape is the theoretically expected penalty of a frequent-items
 //! sketch (count error scales with `(activations tracked) / entries`); the
 //! constant `C` is calibrated so that both of the paper's data points are
-//! reproduced (C = 2¹⁹ fits both within 0.5%). EXPERIMENTS.md records this
-//! as a calibrated — not re-derived — relationship; the `mint-sim` crate
+//! reproduced (C = 2¹⁹ fits both within 0.5%). It is a calibrated — not
+//! re-derived — relationship; the `mint-sim` crate
 //! additionally validates the *behavioural* Mithril implementation against
 //! attack patterns.
 

@@ -187,7 +187,8 @@ mod tests {
     fn min_trh_about_2x_to_3x_of_mint() {
         // Paper: InDRAM-PARA tolerates ≈2.7× the ideal 2.8K → ≈7.5K single
         // (3732 double-sided). Our summed-position model lands in the same
-        // band; the exact constant is recorded in EXPERIMENTS.md.
+        // band; Table III (`table3_tracker_comparison`) prints the
+        // measured double-sided value.
         let t = min_trh(&solver(), 73);
         assert!(
             (5500..8192).contains(&t),

@@ -1,5 +1,6 @@
 //! A small aligned-text / TSV table writer used by every regeneration
-//! binary (we deliberately avoid serde/JSON — see DESIGN.md §3).
+//! binary (the workspace has no external dependencies — see the README's
+//! "Building and testing").
 
 use std::fmt::Write as _;
 

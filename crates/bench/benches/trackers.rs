@@ -1,12 +1,16 @@
 //! Micro-benchmarks: per-tREFI cost of every tracker (73 activations +
-//! one refresh decision), in two regimes. Timed with the dependency-free
-//! `mint_exp::stopwatch`.
+//! one refresh decision), in three regimes. Timed with the
+//! dependency-free `mint_exp::stopwatch`.
 //!
 //! * `tracker_per_trefi` — a hot set: the same 73 rows every tREFI, so
 //!   no table ever fills and the table trackers time their hit path.
 //! * `tracker_per_trefi_full_table` — the table trackers on rows striding
 //!   over 4,096, so their tables fill and churn: Mithril replaces its
-//!   minimum, ProTRR and Graphene spill, PRCT scans thousands of counters.
+//!   minimum, ProTRR and Graphene spill, PRCT tracks thousands of rows.
+//! * `tracker_per_trefi_fresh_rows` — PRCT on rows it has never seen, at
+//!   about 1K, 8K and 64K tracked rows: the table grows by 72 rows per
+//!   tREFI, and a copy of its starting table replaces it once it has
+//!   doubled. A per-REF cost that grows with the table shows here.
 
 use mint_core::{Dmq, InDramTracker, Mint, MintConfig, MintRfm};
 use mint_dram::RowId;
@@ -22,6 +26,13 @@ use mint_trackers::{
 const CHURN_ROWS: u32 = 4096;
 const CHURN_STRIDE: u32 = 677;
 
+/// The fresh-row regime's starting table sizes.
+const FRESH_ROWS: [(&str, u32); 3] = [
+    ("PRCT-1K", 1 << 10),
+    ("PRCT-8K", 1 << 13),
+    ("PRCT-64K", 1 << 16),
+];
+
 fn hot_trefi(tracker: &mut dyn InDramTracker, rng: &mut Xoshiro256StarStar) {
     for k in 0..73u32 {
         let _ = tracker.on_activation(RowId(1000 + k), rng);
@@ -35,6 +46,16 @@ fn churn_trefi(tracker: &mut dyn InDramTracker, rng: &mut Xoshiro256StarStar, ne
         let _ = tracker.on_activation(RowId(*next), rng);
     }
     black_box(tracker.on_refresh(rng));
+}
+
+/// One tREFI of activations on rows never seen before; `next` is the
+/// next fresh row.
+fn fresh_trefi(prct: &mut Prct, rng: &mut Xoshiro256StarStar, next: &mut u32) {
+    for _ in 0..73 {
+        let _ = prct.on_activation(RowId(*next), rng);
+        *next += 1;
+    }
+    black_box(prct.on_refresh(rng));
 }
 
 /// Graphene at the zoo's sizing: threshold 1,400 over one tREFW of
@@ -92,5 +113,22 @@ fn main() {
     for (name, tracker) in &mut cases {
         let mut next = 0;
         runner.bench(name, || churn_trefi(&mut **tracker, &mut rng, &mut next));
+    }
+
+    let mut runner = Runner::new("tracker_per_trefi_fresh_rows");
+    let mut next = 0;
+    for (name, rows) in FRESH_ROWS {
+        let mut start = Prct::new(128 * 1024);
+        for _ in 0..rows {
+            let _ = start.on_activation(RowId(next), &mut rng);
+            next += 1;
+        }
+        let mut prct = start.clone();
+        runner.bench(name, || {
+            if prct.active_rows() >= 2 * rows as usize {
+                prct = start.clone();
+            }
+            fresh_trefi(&mut prct, &mut rng, &mut next);
+        });
     }
 }

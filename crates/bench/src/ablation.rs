@@ -1,6 +1,6 @@
-//! Ablation studies for the design choices DESIGN.md §7 calls out:
-//! DMQ depth, the transitive slot, blast-radius-2 as a (non-)fix for
-//! Half-Double, Mithril entry count, and the PrIDE FIFO.
+//! Ablation studies for the design choices worth isolating: DMQ depth,
+//! the transitive slot, blast-radius-2 as a (non-)fix for Half-Double,
+//! Mithril entry count, and the PrIDE FIFO.
 
 use crate::titled;
 use mint_analysis::textable::TexTable;

@@ -1,4 +1,4 @@
-//! Runs the four ablation studies (DESIGN.md §7): DMQ depth, the
+//! Runs the four ablation studies: DMQ depth, the
 //! transitive slot (and blast-radius-2 non-fix), Mithril entry count and
 //! the PrIDE FIFO.
 

@@ -4,7 +4,8 @@
 //!
 //! Every function returns the rendered table/series as a `String` (the
 //! binaries print it), so the regeneration logic is unit-testable and the
-//! EXPERIMENTS.md record can be regenerated mechanically:
+//! whole record can be regenerated mechanically (see the README's
+//! "Reproducing the paper"):
 //!
 //! ```bash
 //! cargo run --release -p mint-bench --bin repro_all

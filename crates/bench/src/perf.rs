@@ -18,7 +18,7 @@ use mint_rng::Xoshiro256StarStar;
 pub const REQUESTS_PER_CORE: u32 = 40_000;
 
 /// MC-PARA sampling probability tuned for a MinTRH similar to MINT's
-/// (≈1.5K → p ≈ 1/40; see DESIGN.md).
+/// (≈1.5K → p ≈ 1/40).
 pub const MC_PARA_P: f64 = 1.0 / 40.0;
 
 fn schemes_fig16() -> Vec<MitigationScheme> {

@@ -99,8 +99,10 @@ fn missing_arguments_print_usage_and_exit_2() {
 }
 
 /// Ids of the jobs in `hostile.jsonl` that must succeed; every other
-/// request line must fail alone.
-const VALID_IDS: [u64; 3] = [1, 3, 11];
+/// request line must fail alone. Id 12 is a cancel sent before its
+/// submit: acknowledged, then the job runs, because a cancel reaches
+/// only jobs already queued or running.
+const VALID_IDS: [u64; 4] = [1, 3, 11, 12];
 
 #[test]
 fn serve_answers_every_hostile_line_and_keeps_serving() {

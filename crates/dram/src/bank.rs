@@ -41,7 +41,7 @@ pub struct FailureRecord {
 /// A single DRAM bank modelled at the granularity the Rowhammer analysis
 /// needs: a hammer counter per row.
 ///
-/// Semantics (see DESIGN.md §4):
+/// Semantics:
 ///
 /// * [`demand_activate`](Self::demand_activate) — a normal ACT: each row
 ///   within the blast radius gains one hammer.

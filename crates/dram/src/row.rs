@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// The paper notes that DRAM vendors use proprietary internal row mappings;
 /// the security analysis is mapping-agnostic, so we use logical row numbers
-/// throughout (see DESIGN.md §2). The public field keeps construction
+/// throughout. The public field keeps construction
 /// ergonomic in tests and attack generators: `RowId(42)`.
 ///
 /// # Examples

@@ -1,4 +1,5 @@
-//! Performance and energy substrate — the Gem5 substitute (DESIGN.md §2).
+//! Performance and energy substrate — the Gem5 substitute (see the
+//! README's "The command-level memory system").
 //!
 //! The paper evaluates MINT's performance cost in Gem5 with SPEC2017 rate
 //! and mixed workloads (Fig 16, Fig 17, Table VIII). All of the *effects*

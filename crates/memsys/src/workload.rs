@@ -1,6 +1,7 @@
 //! Workload frontends: the [`RequestSource`] trait and its two
 //! implementations — synthetic SPEC2017-rate-like streams ([`CoreStream`],
-//! DESIGN.md §2 substitution) and text-trace replay ([`TraceSource`]).
+//! standing in for SPEC2017 traces) and text-trace replay
+//! ([`TraceSource`]).
 //!
 //! The paper drives Gem5 with 17 SPEC2017 rate workloads and 17 mixes. We
 //! cannot redistribute SPEC traces, so each workload is summarised by the

@@ -39,7 +39,7 @@
 
 pub mod wire;
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -109,12 +109,50 @@ struct Job {
     timeout_ms: Option<u64>,
     submitted: Instant,
     reply: mpsc::Sender<(u64, String)>,
+    /// The submitting connection's live jobs, where its cancels land.
+    live: LiveJobs,
+}
+
+impl Job {
+    /// Whether a cancel for this job's id is pending on its connection.
+    fn cancelled(&self) -> bool {
+        self.live
+            .lock()
+            .expect("live jobs lock")
+            .get(&self.id)
+            .is_some_and(|live| live.cancelled)
+    }
+
+    /// Takes the answered job off its connection's live jobs. A pending
+    /// cancel for its id is spent, so a later job reusing the id runs.
+    fn answered(&self) {
+        let mut live = self.live.lock().expect("live jobs lock");
+        if let Some(entry) = live.get_mut(&self.id) {
+            entry.jobs -= 1;
+            entry.cancelled = false;
+            if entry.jobs == 0 {
+                live.remove(&self.id);
+            }
+        }
+    }
+}
+
+/// One connection's queued and running jobs, by id. A cancel reaches
+/// only these: it cannot stop another connection's job, and a cancel
+/// for an id with no live job is acknowledged and dropped, so unspent
+/// cancels die with their jobs and their connection.
+type LiveJobs = Arc<Mutex<HashMap<u64, Live>>>;
+
+/// The live jobs sharing one id on one connection.
+#[derive(Debug, Default)]
+struct Live {
+    jobs: usize,
+    cancelled: bool,
 }
 
 /// State shared by every worker and connection of one service run.
 #[derive(Clone, Default)]
 struct Shared {
-    cancels: Arc<Mutex<HashSet<u64>>>,
     stats: Arc<Mutex<ServeStats>>,
 }
 
@@ -240,14 +278,8 @@ fn spawn_workers<'scope>(
             let Ok(job) = job else { break };
             let waited = job.submitted.elapsed();
             let picked = Instant::now();
-            let line = run_job(&job, &shared.cancels);
-            // A cancel is spent once a job with its id has answered, so a
-            // later submit reusing the id runs normally.
-            shared
-                .cancels
-                .lock()
-                .expect("cancel set lock")
-                .remove(&job.id);
+            let line = run_job(&job);
+            job.answered();
             {
                 let mut stats = shared.stats.lock().expect("stats lock");
                 stats.jobs_completed += 1;
@@ -278,6 +310,7 @@ where
     W: Write + Send,
 {
     let (line_tx, line_rx) = mpsc::channel::<(u64, String)>();
+    let live = LiveJobs::default();
     std::thread::scope(|scope| {
         let emitter = scope.spawn(move || -> io::Result<()> {
             let mut output = output;
@@ -319,6 +352,11 @@ where
                     timeout_ms,
                 }) => {
                     summary.submitted += 1;
+                    live.lock()
+                        .expect("live jobs lock")
+                        .entry(id)
+                        .or_default()
+                        .jobs += 1;
                     let job = Job {
                         seq,
                         id,
@@ -327,6 +365,7 @@ where
                         timeout_ms,
                         submitted: Instant::now(),
                         reply: line_tx.clone(),
+                        live: Arc::clone(&live),
                     };
                     // Workers hold the receiver for the service scope's
                     // lifetime, so this only blocks (backpressure),
@@ -335,7 +374,9 @@ where
                     seq += 1;
                 }
                 Ok(Envelope::Cancel { id }) => {
-                    shared.cancels.lock().expect("cancel set lock").insert(id);
+                    if let Some(entry) = live.lock().expect("live jobs lock").get_mut(&id) {
+                        entry.cancelled = true;
+                    }
                     let _ = line_tx.send((seq, wire::cancel_ack_line(id)));
                     seq += 1;
                 }
@@ -371,12 +412,8 @@ where
     })
 }
 
-fn cancelled(cancels: &Mutex<HashSet<u64>>, id: u64) -> bool {
-    cancels.lock().expect("cancel set lock").contains(&id)
-}
-
-fn run_job(job: &Job, cancels: &Mutex<HashSet<u64>>) -> String {
-    if cancelled(cancels, job.id) {
+fn run_job(job: &Job) -> String {
+    if job.cancelled() {
         return wire::error_line(Some(job.id), "cancelled");
     }
     let scenario = match parse_any(&job.spec) {
@@ -388,7 +425,7 @@ fn run_job(job: &Job, cancels: &Mutex<HashSet<u64>>) -> String {
             if let Some(base) = job.seed_base {
                 spec.seed = derive_seed(base, job.id);
             }
-            run_cell(job, &spec, cancels)
+            run_cell(job, &spec)
         }
         // Grids already fan out through mint_exp::par_map; they run
         // whole, so cancel only takes effect while a grid is queued and
@@ -400,13 +437,13 @@ fn run_job(job: &Job, cancels: &Mutex<HashSet<u64>>) -> String {
     }
 }
 
-fn run_cell(job: &Job, spec: &ScenarioSpec, cancels: &Mutex<HashSet<u64>>) -> String {
+fn run_cell(job: &Job, spec: &ScenarioSpec) -> String {
     let started = Instant::now();
     let budget = job.timeout_ms.map(Duration::from_millis);
     let mut checkpoint = None;
     let mut stop = CHUNK;
     loop {
-        if cancelled(cancels, job.id) {
+        if job.cancelled() {
             return wire::error_line(Some(job.id), "cancelled");
         }
         if let Some(budget) = budget {
@@ -446,6 +483,9 @@ mod tests {
     const CELL: &str = "scheme = mint\nworkload = mcf\nrequests = 400\nseed = 9";
     const GRID: &str =
         "schemes = Baseline MINT\nworkloads = mcf lbm\nrequests = 300\nseed_base = 5";
+    /// A cell of a dozen slices: still running long after intake has
+    /// read the lines behind it, so a cancel reaches it deterministically.
+    const LONG: &str = "scheme = mint\nworkload = mcf\nrequests = 200000\nseed = 9";
 
     /// A plain submit envelope: no seed base, no timeout.
     fn submit(id: u64, spec: &str) -> String {
@@ -531,28 +571,36 @@ mod tests {
 
     #[test]
     fn shutdown_stops_intake_and_cancel_drops_queued_jobs() {
-        // Cancelling before the submit is the deterministic way to hit
-        // the queued-job cancellation path: the id is already in the
-        // cancel set when a worker picks the job up.
+        // One worker runs the long job 1 while job 5 waits in the queue
+        // behind it: the cancels stop job 1 at a slice boundary and drop
+        // job 5 before it starts.
         let input = [
-            Envelope::Cancel { id: 5 }.to_line(),
+            submit(1, LONG),
             submit(5, CELL),
+            Envelope::Cancel { id: 5 }.to_line(),
+            Envelope::Cancel { id: 1 }.to_line(),
             Envelope::Shutdown.to_line(),
             submit(6, CELL),
         ]
         .join("\n");
-        let (summary, lines) = serve_lines(2, &input);
+        let (summary, lines) = serve_lines(1, &input);
         assert_eq!(
             summary,
             ServeSummary {
-                submitted: 1,
+                submitted: 2,
                 shutdown: true
             },
             "the post-shutdown submit is never read"
         );
-        assert_eq!(lines[0], wire::cancel_ack_line(5));
-        assert_eq!(lines[1], wire::error_line(Some(5), "cancelled"));
-        assert_eq!(lines.len(), 2);
+        assert_eq!(
+            lines,
+            [
+                wire::error_line(Some(1), "cancelled"),
+                wire::error_line(Some(5), "cancelled"),
+                wire::cancel_ack_line(5),
+                wire::cancel_ack_line(1),
+            ]
+        );
     }
 
     #[test]
@@ -561,8 +609,8 @@ mod tests {
         // cancelled and answers so, which spends the cancel; the second
         // runs.
         let input = [
+            submit(9, LONG),
             Envelope::Cancel { id: 9 }.to_line(),
-            submit(9, CELL),
             submit(9, CELL),
         ];
         let (summary, lines) = serve_lines(1, &input.join("\n"));
@@ -570,11 +618,20 @@ mod tests {
         assert_eq!(
             lines,
             [
-                wire::cancel_ack_line(9),
                 wire::error_line(Some(9), "cancelled"),
+                wire::cancel_ack_line(9),
                 batch_line(9, CELL)
             ]
         );
+    }
+
+    #[test]
+    fn a_cancel_without_a_live_job_is_acknowledged_and_dropped() {
+        // Nothing named 7 is queued or running when the cancel arrives,
+        // so the submit after it runs.
+        let input = [Envelope::Cancel { id: 7 }.to_line(), submit(7, CELL)];
+        let (_, lines) = serve_lines(1, &input.join("\n"));
+        assert_eq!(lines, [wire::cancel_ack_line(7), batch_line(7, CELL)]);
     }
 
     #[test]
@@ -684,20 +741,62 @@ mod tests {
         assert!(text.contains("mint_serve_job_latency_ms_sum 17"));
     }
 
-    #[test]
-    fn concurrent_unix_connections_share_the_pool_and_keep_streams_apart() {
-        let dir = std::env::temp_dir().join(format!("mint-serve-test-{}", std::process::id()));
+    /// A socket service of `workers` workers in a temp directory of its
+    /// own (named after `test`), once its socket exists.
+    fn start_unix(
+        test: &str,
+        workers: usize,
+    ) -> (std::path::PathBuf, std::thread::JoinHandle<io::Result<()>>) {
+        let dir = std::env::temp_dir().join(format!("mint-serve-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mint.sock");
-        let service = Service::new().workers(2);
+        let service = Service::new().workers(workers);
         let sock = path.clone();
         let server = std::thread::spawn(move || service.serve_unix(&sock));
-        // Wait for the socket to appear.
         let mut tries = 0;
         while !path.exists() && tries < 500 {
             std::thread::sleep(Duration::from_millis(10));
             tries += 1;
         }
+        (path, server)
+    }
+
+    /// Shuts the service down from a connection of its own and removes
+    /// its directory.
+    fn stop_unix(path: &Path, server: std::thread::JoinHandle<io::Result<()>>) {
+        let mut stream = UnixStream::connect(path).unwrap();
+        writeln!(stream, "{}", Envelope::Shutdown.to_line()).unwrap();
+        drop(stream);
+        server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_cancel_stays_on_its_connection() {
+        let (path, server) = start_unix("cancel-scope", 1);
+        // Connection A cancels id 7; its acknowledgement means intake
+        // has handled the cancel.
+        let mut a = UnixStream::connect(&path).unwrap();
+        writeln!(a, "{}", Envelope::Cancel { id: 7 }.to_line()).unwrap();
+        let mut a_lines = BufReader::new(a.try_clone().unwrap()).lines();
+        assert_eq!(a_lines.next().unwrap().unwrap(), wire::cancel_ack_line(7));
+        // Connection B's job 7 is not A's to cancel.
+        let mut b = UnixStream::connect(&path).unwrap();
+        writeln!(b, "{}", submit(7, CELL)).unwrap();
+        b.shutdown(std::net::Shutdown::Write).unwrap();
+        let b_lines: Vec<String> = BufReader::new(b).lines().map(Result::unwrap).collect();
+        assert_eq!(b_lines, [batch_line(7, CELL)]);
+        // Nor did A's cancel wait for a job 7 of its own.
+        writeln!(a, "{}", submit(7, CELL)).unwrap();
+        a.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(a_lines.next().unwrap().unwrap(), batch_line(7, CELL));
+        assert!(a_lines.next().is_none());
+        stop_unix(&path, server);
+    }
+
+    #[test]
+    fn concurrent_unix_connections_share_the_pool_and_keep_streams_apart() {
+        let (path, server) = start_unix("streams", 2);
 
         // Two clients submit interleaved jobs concurrently; each must
         // read back exactly its own jobs, in its own submission order.
@@ -734,10 +833,6 @@ mod tests {
         );
 
         // Shutdown from a third connection stops the service.
-        let mut stream = UnixStream::connect(&path).unwrap();
-        writeln!(stream, "{}", Envelope::Shutdown.to_line()).unwrap();
-        drop(stream);
-        server.join().unwrap().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+        stop_unix(&path, server);
     }
 }

@@ -49,8 +49,10 @@ pub enum Envelope {
         /// long (checked at every chunk boundary).
         timeout_ms: Option<u64>,
     },
-    /// Request cancellation of job `id`: queued jobs are dropped, a
-    /// running cell job stops at its next chunk boundary.
+    /// Request cancellation of job `id` on this connection: queued jobs
+    /// are dropped, a running cell job stops at its next chunk boundary.
+    /// A cancel is acknowledged either way, but one for an id with no
+    /// queued or running job on this connection does nothing.
     Cancel {
         /// The job to cancel.
         id: u64,

@@ -29,12 +29,19 @@
 //! one tie rule (minimum by `(count, smaller row)`, maximum by `(count,
 //! then smaller row)`) and one checkpoint walk (entries sorted by row;
 //! counts of 0 or 2^63 and above refused). A hit is one hash-map
-//! increment; the maximum and the Misra-Gries decrement scan the map once
-//! per REF or spill; Mithril's space-saving minimum, asked on every miss
-//! of a full table, comes from a lazily built min-heap in amortized
-//! O(log n). `tests/count_table_oracle.rs` replays random streams through
-//! each of the four next to the original full-scan tables. TRR keeps its
-//! 16-entry vector: at that size a linear scan is the cheapest table.
+//! increment, plus one push onto a log once the table has outgrown 256
+//! rows. The maximum, asked once per REF, scans a table of 256 rows or
+//! fewer; a larger table keeps the largest sixteenth of its keys as
+//! candidates above a floor and folds in the logged changes, so a REF
+//! costs amortized O(16 + log n) instead of a scan of n rows, however
+//! long PRCT's table grows. The Misra-Gries decrement scans the map once
+//! per spill. Mithril's space-saving minimum, asked on every miss of a
+//! full table, comes from a lazily built min-heap in amortized O(log n).
+//! `tests/count_table_oracle.rs` replays random streams through each of
+//! the four next to the original full-scan tables, at capacities of 1–8
+//! and at the zoo's (PRCT over 8,192 rows, Mithril and ProTRR at 677).
+//! TRR keeps its 16-entry vector: at that size a linear scan is the
+//! cheapest table.
 
 mod count_table;
 mod graphene;

@@ -50,8 +50,8 @@
 //! assert!(decision.mitigates(RowId(1000)));
 //! ```
 //!
-//! See `DESIGN.md` for the complete system inventory and `EXPERIMENTS.md`
-//! for the paper-vs-measured record of every table and figure.
+//! See the README's "Crate map" for the complete system inventory and
+//! "Reproducing the paper" for regenerating every table and figure.
 
 pub use mint_analysis as analysis;
 pub use mint_attacks as attacks;

@@ -1,6 +1,7 @@
 //! End-to-end integration test: every headline number of the paper,
 //! computed through the public API of the facade crate, must land in its
-//! documented band (EXPERIMENTS.md records the exact measured values).
+//! documented band (`repro_all` prints the exact measured values; see the
+//! README's "Reproducing the paper").
 
 use mint_rh::analysis::ada::AdaConfig;
 use mint_rh::analysis::{comparison, feint, mithril_bound, patterns, postponement, rfm, ttf};
