@@ -8,16 +8,28 @@
 //!   security parameters ([`SecurityParams`]) — most importantly `MaxACT`,
 //!   the number of activations that fit in one tREFI (73 for DDR5-5200B).
 //! * **Per-row hammer accounting** ([`Bank`]) — every activation of a row
-//!   adds one *hammer* to each neighbour within the blast radius; refreshing
-//!   a row clears its hammer count; a row whose count reaches the Rowhammer
-//!   threshold (TRH) without an intervening refresh is a *failure*.
+//!   restores the row itself and adds one *hammer* to each neighbour within
+//!   the blast radius; refreshing a row clears its hammer count; a row whose
+//!   count reaches the Rowhammer threshold (TRH) without an intervening
+//!   refresh is a *failure*. The bank also keeps every row's all-time
+//!   maximum, so one run answers any threshold question afterwards.
 //! * **Victim refreshes are themselves activations** — a mitigation that
 //!   refreshes the victims of an aggressor silently activates those victim
 //!   rows, hammering *their* neighbours. This is what enables transitive
 //!   (Half-Double) attacks, and the model captures it faithfully.
+//! * **The background sweep** ([`Bank::auto_refresh`]) — each REF clears
+//!   the next `rows / refis_per_refw` rows in row order, carrying the
+//!   remainder as credit, so every row is reset once per tREFW.
 //! * **The refresh engine** ([`RefreshSchedule`]) — timely refresh (one REF
 //!   per tREFI) or DDR5 refresh postponement (up to four postponed REFs,
 //!   batches of five).
+//!
+//! [`Bank`] is the repository's one disturbance model: `mint-sim`'s
+//! Monte-Carlo engine drives it slot by slot, and `mint-redteam`'s
+//! ground-truth oracle drives it from the command channel's executed
+//! commands. It stores rows in 1,024-row pages allocated on their first
+//! hammer, so a 128K-row bank that an attack touches in one place costs a
+//! few KiB.
 //!
 //! The model is deliberately *event-counted*, not cycle-accurate: MINT's
 //! security argument is combinatorial over (ACT, REF) sequences, so counting
@@ -30,7 +42,11 @@
 //! ```
 //! use mint_dram::{Bank, BankConfig, RowId};
 //!
-//! let mut bank = Bank::new(BankConfig { rows: 1024, blast_radius: 1, trh: Some(100) });
+//! let mut bank = Bank::new(BankConfig {
+//!     rows: 1024,
+//!     trh: Some(100),
+//!     ..BankConfig::default()
+//! });
 //! for _ in 0..99 {
 //!     bank.demand_activate(RowId(10));
 //! }

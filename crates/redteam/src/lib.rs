@@ -15,11 +15,12 @@
 //!   [`RequestSource`](mint_memsys::RequestSource), so it composes with
 //!   benign `CoreStream`/`TraceSource` cores for attacker+victim co-runs.
 //! * [`GroundTruthOracle`] rides the channel's executed-command event
-//!   stream ([`ChannelObserver`](mint_memsys::ChannelObserver)) and keeps
-//!   *exact* per-row disturbance counts — self-restore on activation,
-//!   blast-radius neighbour hammering (including the silent hammering a
-//!   victim refresh itself causes), and the rolling tREFW auto-refresh
-//!   sweep. Its [`SecurityVerdict`] states, post-run, the maximum hammer
+//!   stream ([`ChannelObserver`](mint_memsys::ChannelObserver)) into a
+//!   [`mint_dram::Bank`], the disturbance model `mint-sim`'s engine
+//!   drives too, and so keeps *exact* per-row disturbance counts —
+//!   self-restore on activation, blast-radius neighbour hammering
+//!   (including the silent hammering a victim refresh itself causes),
+//!   and the rolling tREFW auto-refresh sweep. Its [`SecurityVerdict`] states, post-run, the maximum hammer
 //!   count any row attained, the margin to a given Rowhammer threshold,
 //!   and which rows escaped or came close.
 //! * [`redteam_sweep`] fans a scheme × pattern grid out through

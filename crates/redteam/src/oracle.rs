@@ -1,43 +1,42 @@
 //! The ground-truth escape oracle: exact per-row disturbance accounting
 //! over the channel's executed-command event stream.
 
+use mint_dram::{Bank, BankConfig, RowId};
 use mint_memsys::backend::refis_per_refw;
 use mint_memsys::{ChannelObserver, MemEvent, Section, SystemConfig};
-use std::collections::HashMap;
 
 /// Rows within this fraction of the threshold (but below it) count as
 /// near misses in a [`SecurityVerdict`].
 const NEAR_MISS_NUM: u64 = 9;
 const NEAR_MISS_DEN: u64 = 10;
 
-/// An observer that replays one bank's command stream against the same
-/// per-row disturbance model as `mint_dram::Bank`:
+/// An observer that replays one bank's command stream into a
+/// [`mint_dram::Bank`], the same disturbance model `mint-sim`'s engine
+/// drives:
 ///
 /// * a demand ACT restores the activated row (self-refresh) and hammers
 ///   every neighbour within the blast radius;
 /// * a victim refresh clears the refreshed row **and silently hammers its
 ///   neighbours** (it is an activation — the transitive channel of §V-E);
-/// * each REF advances the rolling background auto-refresh sweep, which
-///   clears `rows / refis_per_refw` counters per tREFI in row order — the
+/// * each REF advances the bank's rolling background sweep, which clears
+///   `rows / refis_per_refw` counters per tREFI in row order — the
 ///   rolling-tREFW guarantee that every row is reset at least once per
 ///   retention window.
 ///
+/// An ACT or victim refresh naming a row outside the bank is counted and
+/// disturbs nothing, so an oracle built for another topology than the
+/// run it observes cannot panic.
+///
 /// Because events arrive in service order the oracle needs no
-/// synchronisation and its verdict is bit-deterministic. It tracks the
-/// all-time maximum per row, so one run answers *every* threshold
+/// synchronisation and its verdict is bit-deterministic. The bank keeps
+/// the all-time maximum per row, so one run answers *every* threshold
 /// question afterwards ([`OracleSummary::verdict`]).
 #[derive(Debug)]
 pub struct GroundTruthOracle {
     bank: u32,
-    rows: u32,
-    blast_radius: u32,
-    refis_per_refw: u64,
-    /// Current unmitigated disturbance per row (absent = 0).
-    hammers: HashMap<u32, u32>,
-    /// All-time maximum disturbance each row ever reached.
-    row_max: HashMap<u32, u32>,
-    sweep_ptr: u32,
-    sweep_credit: u64,
+    /// The watched bank's disturbance model (no threshold: verdicts read
+    /// the per-row maxima afterwards).
+    model: Bank,
     demand_acts: u64,
     victim_refreshes: u64,
     refs: u64,
@@ -58,13 +57,12 @@ impl GroundTruthOracle {
         assert!(bank < cfg.total_banks(), "bank {bank} out of range");
         Self {
             bank,
-            rows: cfg.rows_per_bank,
-            blast_radius: cfg.blast_radius,
-            refis_per_refw: refis_per_refw(),
-            hammers: HashMap::new(),
-            row_max: HashMap::new(),
-            sweep_ptr: 0,
-            sweep_credit: 0,
+            model: Bank::new(BankConfig {
+                rows: cfg.rows_per_bank,
+                blast_radius: cfg.blast_radius,
+                trh: None,
+                refis_per_refw: u32::try_from(refis_per_refw()).expect("tREFI per tREFW fits u32"),
+            }),
             demand_acts: 0,
             victim_refreshes: 0,
             refs: 0,
@@ -82,42 +80,7 @@ impl GroundTruthOracle {
     /// Current unmitigated disturbance of `row`.
     #[must_use]
     pub fn hammers(&self, row: u32) -> u32 {
-        self.hammers.get(&row).copied().unwrap_or(0)
-    }
-
-    /// One activation of `row` (demand or silent): self-restore plus one
-    /// disturbance on every in-bank neighbour within the blast radius.
-    fn activate(&mut self, row: u32) {
-        self.hammers.remove(&row);
-        let radius = i64::from(self.blast_radius);
-        for d in 1..=radius {
-            for side in [-d, d] {
-                let Some(victim) = row.checked_add_signed(side as i32) else {
-                    continue;
-                };
-                if victim >= self.rows {
-                    continue;
-                }
-                let h = self.hammers.entry(victim).or_insert(0);
-                *h += 1;
-                let m = self.row_max.entry(victim).or_insert(0);
-                if *h > *m {
-                    *m = *h;
-                }
-            }
-        }
-    }
-
-    /// One REF's worth of the background sweep: `rows / refis_per_refw`
-    /// counters cleared in row order, with exact credit accounting for
-    /// non-divisible organisations (mirrors `mint_sim`'s engine).
-    fn sweep(&mut self) {
-        self.sweep_credit += u64::from(self.rows);
-        while self.sweep_credit >= self.refis_per_refw {
-            self.hammers.remove(&self.sweep_ptr);
-            self.sweep_ptr = (self.sweep_ptr + 1) % self.rows;
-            self.sweep_credit -= self.refis_per_refw;
-        }
+        self.model.hammers(RowId(row))
     }
 
     /// The oracle's traffic accounting as an obs [`Section`] (named
@@ -132,8 +95,7 @@ impl GroundTruthOracle {
     /// The distilled result: per-row maxima plus traffic counters.
     #[must_use]
     pub fn summary(&self) -> OracleSummary {
-        let mut rows: Vec<(u32, u32)> = self.row_max.iter().map(|(&r, &m)| (r, m)).collect();
-        rows.sort_unstable();
+        let rows: Vec<(u32, u32)> = self.model.row_maxima().map(|(r, m)| (r.0, m)).collect();
         let (hottest_row, max_hammers) =
             rows.iter()
                 .fold((0, 0), |acc, &(r, m)| if m > acc.1 { (r, m) } else { acc });
@@ -158,15 +120,17 @@ impl ChannelObserver for GroundTruthOracle {
         match *event {
             MemEvent::Act { row, .. } => {
                 self.demand_acts += 1;
-                self.activate(row);
+                if self.model.contains(RowId(row)) {
+                    self.model.demand_activate(RowId(row));
+                }
             }
             MemEvent::MitigativeRefresh { row, .. } => {
                 self.victim_refreshes += 1;
-                self.activate(row);
+                self.model.victim_refresh(RowId(row));
             }
             MemEvent::Ref { .. } => {
                 self.refs += 1;
-                self.sweep();
+                self.model.auto_refresh();
             }
             MemEvent::Rfm { .. } => self.rfm_commands += 1,
             MemEvent::Drfm { .. } => self.drfm_commands += 1,
@@ -467,5 +431,30 @@ mod tests {
         let s = o.summary();
         assert_eq!(s.rfm_commands, 1);
         assert_eq!(s.drfm_commands, 1);
+    }
+
+    #[test]
+    fn rows_outside_the_bank_are_counted_and_disturb_nothing() {
+        // An oracle built for a smaller bank than the run it observes.
+        let cfg = SystemConfig {
+            rows_per_bank: 64,
+            ..SystemConfig::table6()
+        };
+        let mut o = GroundTruthOracle::new(&cfg, 3);
+        for row in [64, 65, 1 << 20, u32::MAX] {
+            o.on_event(&act(3, row));
+            o.on_event(&MemEvent::MitigativeRefresh {
+                bank: 3,
+                row,
+                at_ps: 0,
+            });
+        }
+        let s = o.summary();
+        assert_eq!((s.demand_acts, s.victim_refreshes), (4, 4));
+        assert!(s.row_maxima.is_empty(), "nothing was disturbed");
+        assert_eq!(o.hammers(63), 0);
+        // In-bank traffic still lands.
+        o.on_event(&act(3, 63));
+        assert_eq!(o.summary().row_maxima, vec![(62, 1)]);
     }
 }

@@ -111,7 +111,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine (allocates the bank).
+    /// Creates an engine on a fresh bank (its rows are allocated in pages
+    /// as the run first hammers them).
     ///
     /// # Panics
     ///
@@ -125,6 +126,7 @@ impl Engine {
             rows: config.bank_rows,
             blast_radius: config.blast_radius,
             trh: config.trh,
+            refis_per_refw: config.refi_per_refw,
         });
         Self { config, bank }
     }
@@ -164,7 +166,14 @@ impl Engine {
     /// Runs the configured number of tREFW windows.
     ///
     /// The bank state persists across windows (hammer counts are cleared
-    /// row-by-row by the auto-refresh sweep, exactly as in hardware).
+    /// row-by-row by the auto-refresh sweep, exactly as in hardware; each
+    /// REF sweeps one share through [`Bank::auto_refresh`]).
+    ///
+    /// A second `run` on the same engine continues the same bank, as if
+    /// its windows followed the first run's: counts, maxima, the sweep's
+    /// position and its credit carry over. Its report counts only its own
+    /// ACTs, mitigations and REFs, but its `max_hammers` and `failures`
+    /// cover both runs (failure timestamps restart at 0 in each run).
     pub fn run(
         &mut self,
         tracker: &mut dyn InDramTracker,
@@ -181,10 +190,6 @@ impl Engine {
         };
         let total_refis =
             u64::from(self.config.refi_per_refw) * u64::from(self.config.refw_windows);
-        // Auto-refresh pacing: `bank_rows` rows must be swept per
-        // `refi_per_refw` tREFI; accumulate credit to handle non-divisible
-        // configurations exactly.
-        let mut auto_credit: u64 = 0;
         let mut acts: u64 = 0;
         for refi in 0..total_refis {
             for slot in 0..self.config.max_act {
@@ -205,12 +210,7 @@ impl Engine {
                 report.refs += 1;
                 let d = tracker.on_refresh(rng);
                 self.apply(d, tracker, &mut report);
-                // One REF's share of the background sweep.
-                auto_credit += u64::from(self.config.bank_rows);
-                while auto_credit >= u64::from(self.config.refi_per_refw) {
-                    self.bank.auto_refresh_step(1);
-                    auto_credit -= u64::from(self.config.refi_per_refw);
-                }
+                self.bank.auto_refresh();
             }
         }
         report.failures = self.bank.failures().to_vec();

@@ -26,6 +26,7 @@ fn hammer_conservation_upper_bound() {
             rows,
             blast_radius: blast,
             trh: None,
+            ..BankConfig::default()
         });
         for &a in &acts {
             bank.demand_activate(RowId(a));
@@ -50,6 +51,7 @@ fn hammer_conservation_exact_when_separated() {
             rows,
             blast_radius: 1,
             trh: None,
+            ..BankConfig::default()
         });
         for i in 0..n_rows {
             bank.demand_activate(RowId(4 + i * 5)); // stride 5 > 2×blast+1
@@ -73,6 +75,7 @@ fn full_sweep_clears_everything() {
             rows,
             blast_radius: 1,
             trh: None,
+            ..BankConfig::default()
         });
         for &a in &acts {
             bank.demand_activate(RowId(a));
@@ -94,6 +97,7 @@ fn mitigation_zeroes_direct_victims() {
             rows,
             blast_radius: 1,
             trh: None,
+            ..BankConfig::default()
         });
         for &a in &acts {
             bank.demand_activate(RowId(a));
@@ -119,6 +123,7 @@ fn failure_detection_consistent() {
             rows,
             blast_radius: 1,
             trh: Some(trh),
+            ..BankConfig::default()
         });
         for _ in 0..reps {
             bank.demand_activate(RowId(30));
@@ -155,6 +160,7 @@ fn reset_is_pristine() {
             rows,
             blast_radius: 1,
             trh: Some(3),
+            ..BankConfig::default()
         });
         for &a in &acts {
             bank.demand_activate(RowId(a));

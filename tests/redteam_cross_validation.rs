@@ -1,14 +1,15 @@
-//! Cross-validation: the ground-truth oracle riding the command-level
-//! DDR5 channel against the slot-indexed `mint-sim` engine, on identical
-//! pattern streams.
+//! Cross-validation: the slot-indexed `mint-sim` engine against the
+//! command-level DDR5 channel, on identical pattern streams.
 //!
-//! The two pipelines model the same physics at different granularities —
-//! the sim engine walks abstract `(tREFI, slot)` space, the channel
-//! schedules real commands under real timings with the oracle replaying
-//! the executed stream. For deterministic trackers the attained hammer
-//! counts must agree: exactly when no tracker is in the loop, and within
-//! a REF opportunity of slack for PRCT (the channel processes REF
-//! boundaries lazily, so the final window's mitigation may not fire).
+//! Both pipelines drive one disturbance model, `mint_dram::Bank`, at
+//! different granularities: the sim engine feeds it from abstract
+//! `(tREFI, slot)` space, and the ground-truth oracle feeds it the
+//! commands the channel executed under real timings. So this suite checks
+//! the slot engine against the channel's timing over one model. For
+//! deterministic trackers the attained hammer counts must agree: exactly
+//! when no tracker is in the loop, and within a REF opportunity of slack
+//! for PRCT (the channel processes REF boundaries lazily, so the final
+//! window's mitigation may not fire).
 
 use mint_rh::attacks::{AccessPattern, Pattern1, Pattern2, PatternSpec};
 use mint_rh::core::{InDramTracker, MitigationDecision};

@@ -18,14 +18,25 @@
 //! 2. **Worker-count invariance at scale** — a multi-channel run is
 //!    bit-identical whether the per-channel pipelines are constructed
 //!    and the grid cells fanned out on 1 worker or N.
+//!
+//! The red-team oracle's summaries are pinned the same way: one digest of
+//! the whole [`OracleSummary`] (every counter plus the per-row maxima)
+//! for each zoo scheme × the four red-team patterns at
+//! [`RedteamConfig::quick`]. They were captured from the oracle's own
+//! hash-map disturbance model, before the oracle moved onto
+//! `mint_dram::Bank`, and must never drift either.
 
 // The energy goldens are 17-significant-digit round-trip captures: the
 // extra digits are what make `to_bits` equality meaningful.
 #![allow(clippy::excessive_precision)]
 
+use mint_attacks::redteam_patterns;
+use mint_memsys::backend::max_act_per_trefi;
 use mint_memsys::{
     workload_by_name, MitigationScheme, RunReport, SchedulePolicy, Sim, SystemConfig,
 };
+use mint_redteam::{run_attack, OracleSummary, RedteamConfig};
+use mint_rng::derive_seed;
 
 /// One legacy golden: everything a [`RunReport`] exposes, flattened to
 /// exact integers and exact f64 bit patterns.
@@ -251,4 +262,83 @@ fn multi_channel_runs_are_bit_identical_at_jobs_1_and_4() {
     // And scaling out actually engaged every channel: the run serviced
     // the full request budget.
     assert_eq!(one.perf.result.requests, 20_000);
+}
+
+/// FNV-1a over every field of an [`OracleSummary`], `row_maxima`
+/// included, as little-endian words.
+fn summary_digest(s: &OracleSummary) -> u64 {
+    let mut words = vec![
+        u64::from(s.max_hammers),
+        u64::from(s.hottest_row),
+        s.demand_acts,
+        s.victim_refreshes,
+        s.refs,
+        s.rfm_commands,
+        s.drfm_commands,
+        s.row_maxima.len() as u64,
+    ];
+    words.extend(
+        s.row_maxima
+            .iter()
+            .map(|&(row, max)| u64::from(row) << 32 | u64::from(max)),
+    );
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Digests of the red-team oracle's [`OracleSummary`] (see
+/// [`summary_digest`]) for every zoo scheme (zoo order) × the four
+/// `redteam_patterns` (pattern-1, pattern-2, pattern-2-multi, pattern-3)
+/// at [`RedteamConfig::quick`], cell `i` seeded as `redteam_sweep` seeds
+/// it. Captured from the oracle's own hash-map model, before the oracle
+/// moved onto `mint_dram::Bank`; see the module docs.
+#[rustfmt::skip]
+const ORACLE_GOLDENS: [(&str, [u64; 4]); 12] = [
+    ("Baseline", [0x3a1db6443129cf5f, 0xf454ce665ab4743a, 0x307d90bd41133b15, 0x641fd4f84779f43e]),
+    ("MINT", [0x6423b3d698a58acf, 0x8401b05c4a76d531, 0x0e8899b123e92874, 0xfd9fde676c98c22c]),
+    ("MINT+RFM32", [0xd5ece99a2ff0f50b, 0xf0d886479a45bfed, 0x82cb003218065f87, 0x15fc6b8055506fbd]),
+    ("MINT+RFM16", [0xbaa3109648aaf7e6, 0x0b0e8ffb7b61b7ea, 0xab9983c201949cc4, 0xf71d7311d9cde71a]),
+    ("MC-PARA(1/40)", [0x0421591d43da7909, 0x5b83c8b077a96442, 0x902f3bc08b121fba, 0x33ce25e7a1186913]),
+    ("Graphene", [0x3a1db6443129cf5f, 0xf454ce665ab4743a, 0x307d90bd41133b15, 0xe8aba17f8dfa540c]),
+    ("Mithril", [0xc63e2b4caf40be57, 0x0830a56db7f1b1c1, 0xb1e4411e27663037, 0xba84f6d0c4ea6f18]),
+    ("ProTRR", [0x2ea3e18d6c4604bb, 0x8ddb3f710bf07446, 0x8757dcc53b4b0345, 0x4f17f478c0c2d74a]),
+    ("TRR", [0x3e35d20ac9a4d5be, 0x01d8f60e33e0194c, 0xde9113b47a94f246, 0x1c0569b119604515]),
+    ("PRCT", [0xbb6e99e5a5e99d50, 0x0830a56db7f1b1c1, 0x3b73b2cd50dcd12a, 0xba84f6d0c4ea6f18]),
+    ("PrIDE", [0x41a3b6e2752f9c4c, 0xdb13c8e8d3656567, 0x09a3f9211db61e96, 0xf639cce8d6476b23]),
+    ("PARFM", [0x3e35d20ac9a4d5be, 0xca11bb9f4adff5d7, 0xb098a70f998494da, 0xfa70f2050c9894bb]),
+];
+
+#[test]
+fn red_team_oracle_summaries_match_their_goldens() {
+    let rc = RedteamConfig::quick();
+    let schemes = MitigationScheme::zoo();
+    let patterns = redteam_patterns(rc.base_row, max_act_per_trefi() as u32);
+    assert_eq!((schemes.len(), patterns.len()), (12, 4));
+    let grid: Vec<(usize, usize)> = (0..schemes.len())
+        .flat_map(|s| (0..patterns.len()).map(move |p| (s, p)))
+        .collect();
+    let summaries = mint_exp::par_map(&grid, |i, &(s, p)| {
+        run_attack(
+            &rc,
+            schemes[s],
+            &patterns[p],
+            derive_seed(rc.seed, i as u64),
+        )
+        .0
+    });
+    for (i, &(s, p)) in grid.iter().enumerate() {
+        let (label, digests) = ORACLE_GOLDENS[s];
+        assert_eq!(schemes[s].label(), label, "zoo order");
+        assert_eq!(
+            summary_digest(&summaries[i]),
+            digests[p],
+            "{label} × {}: {:?}",
+            patterns[p].name(),
+            summaries[i]
+        );
+    }
 }
