@@ -4,9 +4,10 @@
 //! `ScenarioSpec` grid file, and that same grid again with telemetry on
 //! (the obs dump byte-diffed, the perf outcomes pinned to the
 //! telemetry-off grid) — each diffed for determinism at jobs 1 vs 4.
-//! Two more legs cover the serving layer: the checked-in specs piped
-//! through the resident scenario service (streamed JSON-lines
-//! byte-identical at 1 vs 4 workers and vs batch) and a midpoint
+//! Two more legs cover the serving layer: the checked-in specs and a
+//! cell longer than the service's poll period piped through the
+//! resident scenario service (streamed JSON-lines byte-identical at 1
+//! vs 4 workers and vs batch) and a midpoint
 //! checkpoint/restore whose resumed report must match the straight run
 //! byte-for-byte.
 //!
@@ -232,36 +233,35 @@ fn main() {
         tele_one.0.len(),
     );
 
-    // Serve leg: the two checked-in grid specs through the resident
-    // scenario service. The streamed JSON-lines must be byte-identical
-    // at 1 vs 4 workers AND to the batch runner's reports rendered by
-    // the same wire formatter.
+    // Serve leg: the two checked-in grid specs and a cell that runs on
+    // past a poll (4 x 20,000 requests, more than `CHUNK`) through the
+    // resident scenario service. The streamed JSON-lines must be
+    // byte-identical at 1 vs 4 workers AND to the batch runner's reports
+    // rendered by the same wire formatter.
     let zoo = std::fs::read_to_string(SCENARIO_FILE)
         .unwrap_or_else(|e| panic!("cannot read {SCENARIO_FILE}: {e}"));
     let multi = std::fs::read_to_string(MULTICHANNEL_FILE)
         .unwrap_or_else(|e| panic!("cannot read {MULTICHANNEL_FILE}: {e}"));
-    let input = [
-        wire::Envelope::Submit {
-            id: 1,
-            spec: zoo.clone(),
-            seed_base: None,
-            timeout_ms: None,
-        }
-        .to_line(),
-        wire::Envelope::Submit {
-            id: 2,
-            spec: multi.clone(),
-            seed_base: None,
-            timeout_ms: None,
-        }
-        .to_line(),
-        wire::Envelope::Shutdown.to_line(),
-    ]
-    .join("\n");
+    let long = "scheme = MINT\nworkload = mcf\nrequests = 20000\nseed = 77\n".to_string();
+    let jobs = [(1u64, &zoo), (2, &multi), (3, &long)];
+    let input = jobs
+        .iter()
+        .map(|&(id, spec)| {
+            wire::Envelope::Submit {
+                id,
+                spec: spec.clone(),
+                seed_base: None,
+                timeout_ms: None,
+            }
+            .to_line()
+        })
+        .chain([wire::Envelope::Shutdown.to_line()])
+        .collect::<Vec<_>>()
+        .join("\n");
     let (one, four) = at_jobs_1_and_4(|| serve_stream(&input));
     assert_eq!(one, four, "serve stream differs between 1 and 4 workers");
     let mut expected = String::new();
-    for (id, text) in [(1u64, &zoo), (2, &multi)] {
+    for (id, text) in jobs {
         match parse_any(text).expect("checked-in spec") {
             Scenario::Grid(grid) => {
                 expected.push_str(&wire::ok_grid_line(id, &grid, &grid.run()));
@@ -277,7 +277,7 @@ fn main() {
         one, expected,
         "serve stream differs from the batch-rendered reports"
     );
-    println!("serve: 2 spec jobs streamed byte-identical at 1 vs 4 workers and vs batch");
+    println!("serve: 3 spec jobs streamed byte-identical at 1 vs 4 workers and vs batch");
 
     // Checkpoint leg: run a cell straight, then split it at the midpoint
     // through the serialized on-disk checkpoint format and resume in a

@@ -37,6 +37,7 @@ use crate::config::{MitigationScheme, SystemConfig};
 use crate::sim::{NormalizedPerf, RunReport, Sim};
 use crate::workload::{mixes, read_trace_file, workload_by_name, WorkloadSpec};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A malformed scenario line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -637,13 +638,37 @@ impl ScenarioGrid {
     /// [`Sim::build`] also apply).
     #[must_use]
     pub fn run(&self) -> Vec<Vec<NormalizedPerf>> {
-        self.run_cells(false)
-            .into_iter()
-            .map(|row| {
-                let base = row[0].perf;
-                row.iter().map(|cell| cell.perf.normalize(&base)).collect()
-            })
-            .collect()
+        self.run_polled(u64::MAX, &|_| true)
+            .expect("a check that always answers true never stops a grid")
+    }
+
+    /// [`run`](Self::run) with every cell polled through
+    /// [`Session::run_polled`](crate::Session::run_polled): each cell asks
+    /// `go_on` before its first decision and after every `every` requests
+    /// it services. The cells running in parallel share the check. Once it
+    /// answers `false` in any cell, the grid stops and returns `None`:
+    /// running cells halt at their next poll and the cells left do not
+    /// start, none of them asking `go_on` again.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`run`](Self::run), and if
+    /// `every` is 0.
+    #[must_use]
+    pub fn run_polled(
+        &self,
+        every: u64,
+        go_on: &(dyn Fn(u64) -> bool + Sync),
+    ) -> Option<Vec<Vec<NormalizedPerf>>> {
+        let rows = self.run_cells(false, every, go_on)?;
+        Some(
+            rows.into_iter()
+                .map(|row| {
+                    let base = row[0].perf;
+                    row.iter().map(|cell| cell.perf.normalize(&base)).collect()
+                })
+                .collect(),
+        )
     }
 
     /// Runs every `(workload, scheme)` cell like [`run`](Self::run) but
@@ -658,13 +683,21 @@ impl ScenarioGrid {
     /// Panics under the same conditions as [`run`](Self::run).
     #[must_use]
     pub fn run_reports(&self) -> Vec<Vec<RunReport>> {
-        self.run_cells(self.telemetry)
+        self.run_cells(self.telemetry, u64::MAX, &|_| true)
+            .expect("a check that always answers true never stops a grid")
     }
 
     /// The one grid runner: resolves the seed axis and fans every
-    /// `(workload, scheme)` cell through [`mint_exp::par_map`], returning
-    /// the reports indexed `[workload][scheme]`.
-    fn run_cells(&self, telemetry: bool) -> Vec<Vec<RunReport>> {
+    /// `(workload, scheme)` cell through [`mint_exp::par_map`], each
+    /// polled as [`run_polled`](Self::run_polled) describes, returning the
+    /// reports indexed `[workload][scheme]`, or `None` once a check
+    /// stopped the grid.
+    fn run_cells(
+        &self,
+        telemetry: bool,
+        every: u64,
+        go_on: &(dyn Fn(u64) -> bool + Sync),
+    ) -> Option<Vec<Vec<RunReport>>> {
         assert!(!self.schemes.is_empty(), "need at least one scheme");
         let seeds: Vec<u64> = match &self.seeds {
             SeedAxis::Explicit(seeds) => {
@@ -676,7 +709,11 @@ impl ScenarioGrid {
         let cells: Vec<(usize, usize)> = (0..self.workloads.len())
             .flat_map(|w| (0..self.schemes.len()).map(move |s| (w, s)))
             .collect();
+        let halted = AtomicBool::new(false);
         let flat = mint_exp::par_map(&cells, |_, &(w, s)| {
+            if halted.load(Ordering::Relaxed) {
+                return None;
+            }
             let mut sim = Sim::new(self.cfg)
                 .scheme(self.schemes[s])
                 .policy(self.policy)
@@ -686,12 +723,23 @@ impl ScenarioGrid {
             if telemetry {
                 sim = sim.telemetry();
             }
-            sim.run()
+            let report = sim
+                .build()
+                .run_polled(every, &mut |k| !halted.load(Ordering::Relaxed) && go_on(k));
+            if report.is_none() {
+                halted.store(true, Ordering::Relaxed);
+            }
+            report
         });
-        let mut flat = flat.into_iter();
-        (0..self.workloads.len())
-            .map(|_| flat.by_ref().take(self.schemes.len()).collect())
-            .collect()
+        let mut flat = flat
+            .into_iter()
+            .collect::<Option<Vec<RunReport>>>()?
+            .into_iter();
+        Some(
+            (0..self.workloads.len())
+                .map(|_| flat.by_ref().take(self.schemes.len()).collect())
+                .collect(),
+        )
     }
 }
 

@@ -547,10 +547,35 @@ impl Session<'_> {
     /// how a surrounding sweep is parallelised.
     #[must_use]
     pub fn run(self) -> RunReport {
-        match self.drive(None, None) {
-            Ok(SessionRun::Finished(report)) => report,
-            Ok(SessionRun::Paused(_)) | Err(_) => {
-                unreachable!("a run with no stop point neither pauses nor fails")
+        match self.drive(None, Stops::Never) {
+            Ok(Some(SessionRun::Finished(report))) => report,
+            _ => unreachable!("a run with no stop point neither pauses, halts nor fails"),
+        }
+    }
+
+    /// [`run`](Session::run) with a caller's check: asks `go_on` before
+    /// the first service decision and again after every `every` requests
+    /// serviced, passing the count serviced so far (0, `every`,
+    /// 2·`every`, … while requests are left). Once `go_on` answers
+    /// `false` the run stops, `go_on` is not asked again, and the result
+    /// is `None`; otherwise the report is [`run`](Session::run)'s, bit for
+    /// bit.
+    ///
+    /// The poll shares the loop-top compare of
+    /// [`run_until`](Session::run_until)'s pause, so a caller can stop a
+    /// long run (a cancel, a deadline) without checkpointing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is 0.
+    #[must_use]
+    pub fn run_polled(self, every: u64, go_on: &mut dyn FnMut(u64) -> bool) -> Option<RunReport> {
+        assert!(every >= 1, "a poll needs a period of at least one request");
+        match self.drive(None, Stops::Poll { every, go_on }) {
+            Ok(Some(SessionRun::Finished(report))) => Some(report),
+            Ok(None) => None,
+            Ok(Some(SessionRun::Paused(_))) | Err(_) => {
+                unreachable!("a polled run neither pauses nor fails")
             }
         }
     }
@@ -574,7 +599,7 @@ impl Session<'_> {
     /// Returns an error if any request source does not support
     /// checkpointing (its [`RequestSource::walk_state`] refuses).
     pub fn run_until(self, stop_after: u64) -> Result<SessionRun, String> {
-        self.drive(None, Some(stop_after))
+        self.drive(None, Stops::PauseAt(stop_after)).map(unpolled)
     }
 
     /// Continues a paused run from `checkpoint` to completion.
@@ -590,9 +615,9 @@ impl Session<'_> {
     /// Returns an error on a malformed or structurally incompatible
     /// checkpoint, or if a request source does not support restore.
     pub fn resume(self, checkpoint: &Checkpoint) -> Result<RunReport, String> {
-        match self.drive(Some(checkpoint), None)? {
-            SessionRun::Finished(report) => Ok(report),
-            SessionRun::Paused(_) => unreachable!("no stop point requested"),
+        match self.drive(Some(checkpoint), Stops::Never)? {
+            Some(SessionRun::Finished(report)) => Ok(report),
+            _ => unreachable!("no stop point requested"),
         }
     }
 
@@ -609,14 +634,16 @@ impl Session<'_> {
         checkpoint: &Checkpoint,
         stop_after: u64,
     ) -> Result<SessionRun, String> {
-        self.drive(Some(checkpoint), Some(stop_after))
+        self.drive(Some(checkpoint), Stops::PauseAt(stop_after))
+            .map(unpolled)
     }
 
     /// The one run loop behind every entry point: starts fresh or from a
-    /// checkpoint, runs the incremental admission loop, and
-    /// optionally pauses once `stop_after` requests have been serviced.
+    /// checkpoint, runs the incremental admission loop, and stops where
+    /// `stops` says: never, at a pause, or at every poll. `None` means a
+    /// poll's check halted the run.
     ///
-    /// The pause check sits at the loop top — right after a service
+    /// The stop check sits at the loop top — right after a service
     /// decision's fetch and arrival push — where the loop invariant
     /// holds: the arrival heap/set contains `(issue, core)` exactly for
     /// the cores with a pending request. That is what lets resume
@@ -625,8 +652,8 @@ impl Session<'_> {
     fn drive(
         mut self,
         resume: Option<&Checkpoint>,
-        stop_after: Option<u64>,
-    ) -> Result<SessionRun, String> {
+        mut stops: Stops<'_>,
+    ) -> Result<Option<SessionRun>, String> {
         let mut system = System::new(self.cfg, self.scheme, self.policy, self.mapping, self.seed);
         let single_channel = system.channel_count() == 1;
         let observe = self.observer.is_some() || self.capture_events;
@@ -693,6 +720,11 @@ impl Session<'_> {
             }
         }
         let mut serviced_total: u64 = cores.iter().map(|c| c.serviced).sum();
+        let mut next_stop = match stops {
+            Stops::Never => None,
+            Stops::PauseAt(k) => Some(k),
+            Stops::Poll { .. } => Some(serviced_total),
+        };
 
         if single_channel {
             // Incremental single-channel admission: admissibility is
@@ -712,8 +744,14 @@ impl Session<'_> {
                 }
             }
             loop {
-                if stop_after.is_some_and(|k| serviced_total >= k) {
-                    return pause(&mut system, &mut cores, budget, &mut events, &mut stel);
+                if next_stop.is_some_and(|k| serviced_total >= k) {
+                    match at_stop(&mut stops, &mut next_stop, serviced_total, &system, &cores) {
+                        AtStop::Run => {}
+                        AtStop::Halt => return Ok(None),
+                        AtStop::Pause => {
+                            return pause(&mut system, &mut cores, budget, &mut events, &mut stel)
+                        }
+                    }
                 }
                 if let Some(&Reverse((issue, i))) = arrivals.peek() {
                     if system.admissible(0, issue) {
@@ -761,8 +799,14 @@ impl Session<'_> {
                 }
             }
             loop {
-                if stop_after.is_some_and(|k| serviced_total >= k) {
-                    return pause(&mut system, &mut cores, budget, &mut events, &mut stel);
+                if next_stop.is_some_and(|k| serviced_total >= k) {
+                    match at_stop(&mut stops, &mut next_stop, serviced_total, &system, &cores) {
+                        AtStop::Run => {}
+                        AtStop::Halt => return Ok(None),
+                        AtStop::Pause => {
+                            return pause(&mut system, &mut cores, budget, &mut events, &mut stel)
+                        }
+                    }
                 }
                 let mut admitted = None;
                 for &(issue, i) in &arrivals {
@@ -802,14 +846,68 @@ impl Session<'_> {
             }
         }
 
-        Ok(SessionRun::Finished(finish_report(
+        Ok(Some(SessionRun::Finished(finish_report(
             self.scheme,
             system,
             &cores,
             events,
             stel,
-        )))
+        ))))
     }
+}
+
+/// Where [`Session::drive`] stops to look up from the run.
+enum Stops<'p> {
+    /// Nowhere: run to completion.
+    Never,
+    /// Pause into a checkpoint once this many requests are serviced.
+    PauseAt(u64),
+    /// Ask `go_on` at 0, `every`, 2·`every`, … requests serviced.
+    Poll {
+        every: u64,
+        go_on: &'p mut dyn FnMut(u64) -> bool,
+    },
+}
+
+/// What the run loops do at a stop point.
+enum AtStop {
+    Run,
+    Pause,
+    /// A poll's check answered `false`.
+    Halt,
+}
+
+/// The branch behind the loop top's stop compare, taken once per stop
+/// point: a pause pauses; a poll asks its check and moves `next_stop` to
+/// the next poll point. A run with nothing left to service is over, so
+/// it is not polled. Out of line and cold, so the hot loop's code stays
+/// as it is without a poll.
+#[cold]
+#[inline(never)]
+fn at_stop(
+    stops: &mut Stops,
+    next_stop: &mut Option<u64>,
+    serviced: u64,
+    system: &System,
+    cores: &[CoreCtx],
+) -> AtStop {
+    let Stops::Poll { every, go_on } = stops else {
+        return AtStop::Pause;
+    };
+    if system.pending() == 0 && cores.iter().all(|c| c.pending.is_none()) {
+        *next_stop = None;
+        return AtStop::Run;
+    }
+    if !go_on(serviced) {
+        return AtStop::Halt;
+    }
+    *next_stop = Some(serviced.saturating_add(*every));
+    AtStop::Run
+}
+
+/// A pause or a straight run ends finished or paused: only a poll halts.
+fn unpolled(run: Option<SessionRun>) -> SessionRun {
+    run.expect("only a poll halts a run")
 }
 
 /// Walks the full dynamic state of a paused run — system, cores, captured
@@ -858,10 +956,10 @@ fn pause(
     budget: Option<u32>,
     events: &mut Vec<MemEvent>,
     stel: &mut Option<Box<SessionTelemetry>>,
-) -> Result<SessionRun, String> {
+) -> Result<Option<SessionRun>, String> {
     let mut c = StateCursor::saving();
     walk_session(&mut c, system, cores, budget, events, stel)?;
-    Ok(SessionRun::Paused(Checkpoint { words: c.finish()? }))
+    Ok(Some(SessionRun::Paused(Checkpoint { words: c.finish()? })))
 }
 
 /// The frontend's books must balance against the queues, or a resumed
@@ -1205,6 +1303,59 @@ mod tests {
         };
         let resumed = build().resume(&ckpt).expect("resume");
         assert_eq!(resumed, straight);
+    }
+
+    #[test]
+    fn run_polled_answers_like_run_and_polls_every_period() {
+        // 4 x lbm at 3,000 requests per core polled every 1,000: the
+        // check sees 0, 1,000, ... 11,000 and not the total, on both
+        // admission loops (1x1 and 2ch x 2rk), for the whole zoo.
+        const EVERY: u64 = 1_000;
+        let dimm = SystemConfig {
+            channels: 2,
+            ranks: 2,
+            ..SystemConfig::table6()
+        };
+        for cfg in [SystemConfig::table6(), dimm] {
+            for scheme in MitigationScheme::zoo() {
+                let build = || {
+                    Sim::new(cfg)
+                        .scheme(scheme)
+                        .workload(&rate4(lbm()), 3_000)
+                        .seed(5)
+                        .build()
+                };
+                let straight = build().run();
+                let mut asked = Vec::new();
+                let polled = build().run_polled(EVERY, &mut |k| {
+                    asked.push(k);
+                    true
+                });
+                let what = format!("{} on {} channel(s)", scheme.label(), cfg.channels);
+                assert_eq!(polled.as_ref(), Some(&straight), "{what}");
+                let polls: Vec<u64> = (0..straight.perf.result.requests)
+                    .step_by(EVERY as usize)
+                    .collect();
+                assert_eq!(asked, polls, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_poll_answering_false_halts_the_run_and_is_not_asked_again() {
+        for halt_at in [1, 2, 7] {
+            let mut asked = 0;
+            let polled = Sim::ddr5()
+                .workload(&rate4(lbm()), 3_000)
+                .seed(5)
+                .build()
+                .run_polled(1_000, &mut |_| {
+                    asked += 1;
+                    asked < halt_at
+                });
+            assert!(polled.is_none(), "halted at call {halt_at}");
+            assert_eq!(asked, halt_at);
+        }
     }
 
     #[test]

@@ -22,17 +22,20 @@
 //!   re-serialized by that connection's emitter thread, so each
 //!   connection's output byte stream is identical for any worker count
 //!   (pinned by `ci_smoke`'s serve leg at jobs 1 vs 4).
-//! * **Checkpointed cells** — cell jobs run in [`CHUNK`]-request slices
-//!   through `Session::run_until` / `resume_until` (the same snapshot
-//!   machinery as `mint-memsys`' checkpoint/restore), giving cancel and
-//!   timeout points without ever forking a thread per job; bit-identity
-//!   of the sliced run is pinned by `tests/checkpoint_identity.rs`.
+//! * **Polled jobs** — a cell job runs as one live session through
+//!   `Session::run_polled`, and a grid job runs every cell that way
+//!   through `ScenarioGrid::run_polled`. Each asks for a pending cancel
+//!   and a spent `timeout_ms` budget before its first decision and after
+//!   every [`CHUNK`] requests, without forking a thread per job or
+//!   checkpointing the session; the answer is the batch run's, bit for
+//!   bit.
 //! * **Graceful drain** — EOF or a `shutdown` envelope stops intake;
 //!   queued jobs still run and stream their results before
 //!   [`Service::serve`] returns. Over a socket, `shutdown` also stops
 //!   the accept loop once the other live connections have drained.
-//! * **Service stats** — workers feed a [`ServeStats`] ledger (job
-//!   count, queue-wait and run-latency histograms); a `stats` envelope
+//! * **Service stats** — workers feed a [`ServeStats`] ledger (jobs
+//!   completed, failed, cancelled and timed out, queue-wait and
+//!   run-latency histograms); a `stats` envelope
 //!   returns it as Prometheus text. This is the one layer of the stack
 //!   allowed to read the wall clock — simulation telemetry is sampled
 //!   on simulated picoseconds only.
@@ -40,22 +43,23 @@
 pub mod wire;
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mint_memsys::{parse_any, Scenario, ScenarioSpec, SessionRun, SystemConfig};
+use mint_memsys::{parse_any, Scenario, SystemConfig};
 use mint_obs::{Log2Histogram, Section, TelemetryReport};
 use mint_rng::derive_seed;
 use wire::Envelope;
 
-/// Requests serviced between cancel/timeout checks of a cell job: each
-/// slice runs `Session::run_until` to the next multiple of this, so a
-/// cancelled or timed-out job stops at the following chunk boundary.
+/// Requests serviced between cancel/timeout checks of a running job (per
+/// cell, for a grid), so a cancelled or timed-out job stops at the
+/// following multiple of this.
 pub const CHUNK: u64 = 65_536;
 
 /// Jobs the intake loops may queue ahead of the workers before they
@@ -78,6 +82,13 @@ pub struct ServeSummary {
 pub struct ServeStats {
     /// Jobs a worker finished (success or error line emitted).
     pub jobs_completed: u64,
+    /// Jobs answered with an error of their spec (it does not parse,
+    /// build or fit the cores).
+    pub jobs_failed: u64,
+    /// Jobs a cancel stopped, queued or running.
+    pub jobs_cancelled: u64,
+    /// Jobs stopped by their `timeout_ms` budget.
+    pub jobs_timed_out: u64,
     /// Submit-to-pickup wait per job, in milliseconds.
     pub queue_wait_ms: Log2Histogram,
     /// Pickup-to-result run time per job, in milliseconds.
@@ -91,11 +102,46 @@ impl ServeStats {
     pub fn to_report(&self) -> TelemetryReport {
         let mut sec = Section::new("serve");
         sec.counter("jobs_completed", self.jobs_completed);
+        sec.counter("jobs_failed", self.jobs_failed);
+        sec.counter("jobs_cancelled", self.jobs_cancelled);
+        sec.counter("jobs_timed_out", self.jobs_timed_out);
         sec.histogram("queue_wait_ms", self.queue_wait_ms.clone());
         sec.histogram("job_latency_ms", self.job_latency_ms.clone());
         let mut report = TelemetryReport::new();
         report.push(sec);
         report
+    }
+
+    /// Counts a finished job under its outcome: every `ok:false` answer
+    /// in exactly one of failed, cancelled and timed out.
+    fn record(&mut self, answer: &Result<String, JobError>) {
+        self.jobs_completed += 1;
+        match answer {
+            Ok(_) => {}
+            Err(JobError::Failed(_)) => self.jobs_failed += 1,
+            Err(JobError::Cancelled) => self.jobs_cancelled += 1,
+            Err(JobError::TimedOut(_)) => self.jobs_timed_out += 1,
+        }
+    }
+}
+
+/// Why a job answers `ok:false`.
+#[derive(Debug)]
+enum JobError {
+    /// The spec's own error: it does not parse, build or fit.
+    Failed(String),
+    Cancelled,
+    /// The `timeout_ms` budget, spent.
+    TimedOut(u64),
+}
+
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobError::Failed(why) => f.write_str(why),
+            JobError::Cancelled => f.write_str("cancelled"),
+            JobError::TimedOut(ms) => write!(f, "timed out after {ms}ms"),
+        }
     }
 }
 
@@ -121,6 +167,16 @@ impl Job {
             .expect("live jobs lock")
             .get(&self.id)
             .is_some_and(|live| live.cancelled)
+    }
+
+    /// Why the job must stop now, if it must: a pending cancel, or its
+    /// `timeout_ms` budget spent since `started`.
+    fn interrupted(&self, started: Instant) -> Option<JobError> {
+        if self.cancelled() {
+            return Some(JobError::Cancelled);
+        }
+        let budget = self.timeout_ms?;
+        (started.elapsed() >= Duration::from_millis(budget)).then_some(JobError::TimedOut(budget))
     }
 
     /// Takes the answered job off its connection's live jobs. A pending
@@ -278,16 +334,17 @@ fn spawn_workers<'scope>(
             let Ok(job) = job else { break };
             let waited = job.submitted.elapsed();
             let picked = Instant::now();
-            let line = run_job(&job);
+            let answer = run_job(&job);
             job.answered();
             {
                 let mut stats = shared.stats.lock().expect("stats lock");
-                stats.jobs_completed += 1;
+                stats.record(&answer);
                 stats.queue_wait_ms.record(waited.as_millis() as u64);
                 stats
                     .job_latency_ms
                     .record(picked.elapsed().as_millis() as u64);
             }
+            let line = answer.unwrap_or_else(|e| wire::error_line(Some(job.id), &e.to_string()));
             // A dropped reply channel means that connection is gone;
             // keep serving the others.
             let _ = job.reply.send((job.seq, line));
@@ -412,67 +469,44 @@ where
     })
 }
 
-fn run_job(job: &Job) -> String {
+/// Runs one job to its answer line, or to why it answers `ok:false`.
+fn run_job(job: &Job) -> Result<String, JobError> {
     if job.cancelled() {
-        return wire::error_line(Some(job.id), "cancelled");
+        return Err(JobError::Cancelled);
     }
-    let scenario = match parse_any(&job.spec) {
-        Ok(scenario) => scenario,
-        Err(e) => return wire::error_line(Some(job.id), &e.to_string()),
+    let scenario = parse_any(&job.spec).map_err(|e| JobError::Failed(e.to_string()))?;
+    // The check at every poll point of the job's cells; the first one to
+    // answer `false` records why.
+    let started = Instant::now();
+    let stopped = OnceLock::new();
+    let go_on = |_: u64| match job.interrupted(started) {
+        None => true,
+        Some(why) => {
+            stopped.get_or_init(|| why);
+            false
+        }
     };
-    match scenario {
+    let answer = match scenario {
         Scenario::Cell(mut spec) => {
             if let Some(base) = job.seed_base {
                 spec.seed = derive_seed(base, job.id);
             }
-            run_cell(job, &spec)
+            let sim = spec
+                .to_sim(SystemConfig::table6())
+                .map_err(|e| JobError::Failed(e.to_string()))?;
+            sim.build()
+                .run_polled(CHUNK, &mut |k| go_on(k))
+                .map(|report| wire::ok_cell_line(job.id, &spec.scheme.label(), &report))
         }
-        // Grids already fan out through mint_exp::par_map; they run
-        // whole, so cancel only takes effect while a grid is queued and
-        // timeouts do not apply.
-        Scenario::Grid(grid) => {
-            let rows = grid.run();
-            wire::ok_grid_line(job.id, &grid, &rows)
-        }
-    }
-}
-
-fn run_cell(job: &Job, spec: &ScenarioSpec) -> String {
-    let started = Instant::now();
-    let budget = job.timeout_ms.map(Duration::from_millis);
-    let mut checkpoint = None;
-    let mut stop = CHUNK;
-    loop {
-        if job.cancelled() {
-            return wire::error_line(Some(job.id), "cancelled");
-        }
-        if let Some(budget) = budget {
-            if started.elapsed() >= budget {
-                return wire::error_line(
-                    Some(job.id),
-                    &format!("timed out after {}ms", budget.as_millis()),
-                );
-            }
-        }
-        let session = match spec.to_sim(SystemConfig::table6()) {
-            Ok(sim) => sim.build(),
-            Err(e) => return wire::error_line(Some(job.id), &e.to_string()),
-        };
-        let sliced = match &checkpoint {
-            None => session.run_until(stop),
-            Some(at) => session.resume_until(at, stop),
-        };
-        match sliced {
-            Ok(SessionRun::Finished(report)) => {
-                return wire::ok_cell_line(job.id, &spec.scheme.label(), &report);
-            }
-            Ok(SessionRun::Paused(at)) => {
-                checkpoint = Some(at);
-                stop += CHUNK;
-            }
-            Err(e) => return wire::error_line(Some(job.id), &e),
-        }
-    }
+        Scenario::Grid(grid) => grid
+            .run_polled(CHUNK, &go_on)
+            .map(|rows| wire::ok_grid_line(job.id, &grid, &rows)),
+    };
+    answer.ok_or_else(|| {
+        stopped
+            .into_inner()
+            .expect("a check that answers false records why")
+    })
 }
 
 #[cfg(test)]
@@ -483,9 +517,14 @@ mod tests {
     const CELL: &str = "scheme = mint\nworkload = mcf\nrequests = 400\nseed = 9";
     const GRID: &str =
         "schemes = Baseline MINT\nworkloads = mcf lbm\nrequests = 300\nseed_base = 5";
-    /// A cell of a dozen slices: still running long after intake has
+    /// A cell of a dozen [`CHUNK`]s: still running long after intake has
     /// read the lines behind it, so a cancel reaches it deterministically.
     const LONG: &str = "scheme = mint\nworkload = mcf\nrequests = 200000\nseed = 9";
+    /// A grid of two cells, each of 80 000 requests (more than [`CHUNK`]).
+    const LONG_GRID: &str =
+        "schemes = Baseline MINT\nworkloads = mcf\nrequests = 20000\nseed_base = 9";
+    /// A spec that fails to parse.
+    const BAD_SPEC: &str = "scheme = mnit\nworkload = mcf";
 
     /// A plain submit envelope: no seed base, no timeout.
     fn submit(id: u64, spec: &str) -> String {
@@ -572,8 +611,8 @@ mod tests {
     #[test]
     fn shutdown_stops_intake_and_cancel_drops_queued_jobs() {
         // One worker runs the long job 1 while job 5 waits in the queue
-        // behind it: the cancels stop job 1 at a slice boundary and drop
-        // job 5 before it starts.
+        // behind it: the cancels stop job 1 at a poll and drop job 5
+        // before it starts.
         let input = [
             submit(1, LONG),
             submit(5, CELL),
@@ -637,8 +676,7 @@ mod tests {
     #[test]
     fn a_cell_crossing_slice_boundaries_answers_like_the_batch_run() {
         // 4 cores × 20 000 requests = 80 000 > `CHUNK`: the answer comes
-        // from a session paused at the slice boundary and resumed from
-        // its checkpoint.
+        // from a session that ran on past a poll.
         let spec = "scheme = mint\nworkload = mcf\nrequests = 20000\nseed = 9";
         let (_, lines) = serve_lines(1, &submit(4, spec));
         assert_eq!(lines, [batch_line(4, spec)]);
@@ -671,6 +709,33 @@ mod tests {
             wire::error_line(Some(3), "timed out after 0ms"),
             "a zero budget times out deterministically before the first chunk"
         );
+    }
+
+    #[test]
+    fn a_grid_with_a_zero_budget_times_out() {
+        let input = Envelope::Submit {
+            id: 1,
+            spec: GRID.to_string(),
+            seed_base: None,
+            timeout_ms: Some(0),
+        }
+        .to_line();
+        let (_, lines) = serve_lines(1, &input);
+        assert_eq!(lines, [wire::error_line(Some(1), "timed out after 0ms")]);
+    }
+
+    #[test]
+    fn a_cancel_stops_a_running_grid() {
+        // `QUEUE_DEPTH` jobs behind the grid fill the queue, so intake
+        // reads the cancel only once the one worker has taken the grid
+        // off it: the cancel reaches a running grid, not a queued one.
+        let mut input = vec![submit(1, LONG_GRID)];
+        input.extend((0..QUEUE_DEPTH as u64).map(|i| submit(100 + i, BAD_SPEC)));
+        input.push(Envelope::Cancel { id: 1 }.to_line());
+        let (_, lines) = serve_lines(1, &input.join("\n"));
+        assert_eq!(lines.len(), QUEUE_DEPTH + 2);
+        assert_eq!(lines[0], wire::error_line(Some(1), "cancelled"));
+        assert_eq!(lines[QUEUE_DEPTH + 1], wire::cancel_ack_line(1));
     }
 
     #[test]
@@ -791,6 +856,52 @@ mod tests {
         a.shutdown(std::net::Shutdown::Write).unwrap();
         assert_eq!(a_lines.next().unwrap().unwrap(), batch_line(7, CELL));
         assert!(a_lines.next().is_none());
+        stop_unix(&path, server);
+    }
+
+    #[test]
+    fn stats_count_failed_cancelled_and_timed_out_jobs() {
+        let (path, server) = start_unix("outcomes", 1);
+        let mut stream = UnixStream::connect(&path).unwrap();
+        let mut answers = BufReader::new(stream.try_clone().unwrap()).lines();
+        let mut answer = || answers.next().unwrap().unwrap();
+        // Each job's answer is read before the next job is sent, and a
+        // worker records a job's outcome before it answers, so the ledger
+        // holds every job by the time `stats` reads it. The line that is
+        // not an envelope and the cancel's acknowledgement are not jobs.
+        writeln!(stream, "{}", submit(1, CELL)).unwrap();
+        assert_eq!(answer(), batch_line(1, CELL));
+        writeln!(stream, "this line is not JSON").unwrap();
+        assert!(answer().starts_with("{\"v\":1,\"id\":null,\"ok\":false"));
+        writeln!(stream, "{}", submit(2, BAD_SPEC)).unwrap();
+        assert!(answer().starts_with("{\"v\":1,\"id\":2,\"ok\":false"));
+        writeln!(stream, "{}", submit(3, LONG)).unwrap();
+        writeln!(stream, "{}", Envelope::Cancel { id: 3 }.to_line()).unwrap();
+        assert_eq!(answer(), wire::error_line(Some(3), "cancelled"));
+        assert_eq!(answer(), wire::cancel_ack_line(3));
+        let timed = Envelope::Submit {
+            id: 4,
+            spec: CELL.to_string(),
+            seed_base: None,
+            timeout_ms: Some(0),
+        };
+        writeln!(stream, "{}", timed.to_line()).unwrap();
+        assert_eq!(answer(), wire::error_line(Some(4), "timed out after 0ms"));
+        writeln!(stream, "{}", Envelope::Stats { id: 5 }.to_line()).unwrap();
+        let stats = answer();
+        for (outcome, jobs) in [
+            ("completed", 4),
+            ("failed", 1),
+            ("cancelled", 1),
+            ("timed_out", 1),
+        ] {
+            assert!(
+                stats.contains(&format!("mint_serve_jobs_{outcome} {jobs}\\n")),
+                "{stats}"
+            );
+        }
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(answers.next().is_none());
         stop_unix(&path, server);
     }
 
