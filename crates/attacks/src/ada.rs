@@ -108,8 +108,6 @@ impl AccessPattern for AdaptiveAttack {
     fn target_victims(&self) -> Vec<RowId> {
         self.focus_row().neighbours(1).collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

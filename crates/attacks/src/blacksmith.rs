@@ -164,8 +164,6 @@ impl AccessPattern for Blacksmith {
     fn target_victims(&self) -> Vec<RowId> {
         self.pairs.iter().map(|&(b, ..)| RowId(b.0 + 1)).collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -51,8 +51,6 @@ impl AccessPattern for SingleSided {
     fn target_victims(&self) -> Vec<RowId> {
         self.row.neighbours(1).collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 /// The classic double-sided attack (§V-C): alternate the two rows flanking a
@@ -110,8 +108,6 @@ impl AccessPattern for DoubleSided {
     fn target_victims(&self) -> Vec<RowId> {
         vec![self.victim]
     }
-
-    fn reset(&mut self) {}
 }
 
 /// TRRespass-style many-sided attack (§II-F): round-robin over `k`
@@ -162,10 +158,6 @@ impl AccessPattern for ManySided {
             .flat_map(|r| r.neighbours(1))
             .collect()
     }
-
-    fn reset(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 /// Half-Double (§V-E, Fig 12a): a plain single-sided hammer of row `C`,
@@ -211,8 +203,6 @@ impl AccessPattern for HalfDouble {
     fn target_victims(&self) -> Vec<RowId> {
         vec![RowId(self.centre.0 - 2), RowId(self.centre.0 + 2)]
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -278,8 +268,6 @@ mod tests {
         assert_eq!(a.next_act(0, 1), Some(RowId(104)));
         assert_eq!(a.next_act(0, 2), Some(RowId(108)));
         assert_eq!(a.next_act(0, 3), Some(RowId(100)));
-        a.reset();
-        assert_eq!(a.next_act(0, 0), Some(RowId(100)));
     }
 
     #[test]

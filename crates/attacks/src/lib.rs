@@ -57,9 +57,6 @@ pub trait AccessPattern {
     /// the threshold (used by the simulator for focused reporting; the bank
     /// model checks *every* row regardless).
     fn target_victims(&self) -> Vec<RowId>;
-
-    /// Restores the initial state (patterns with internal phase).
-    fn reset(&mut self);
 }
 
 /// Spacing between attack rows used by multi-row patterns so that no two

@@ -33,8 +33,6 @@ impl AccessPattern for Pattern1 {
     fn target_victims(&self) -> Vec<RowId> {
         self.row.neighbours(1).collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Pattern-2: multi-row, single-copy (§V-D, Fig 10) — the paper's
@@ -106,8 +104,6 @@ impl AccessPattern for Pattern2 {
             .flat_map(|r| r.neighbours(1))
             .collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Pattern-3: multi-row, multi-copy (§V-D, Fig 11).
@@ -178,8 +174,6 @@ impl AccessPattern for Pattern3 {
             .flat_map(|r| r.neighbours(1))
             .collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

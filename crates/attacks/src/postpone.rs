@@ -79,8 +79,6 @@ impl AccessPattern for PostponementDecoy {
     fn target_victims(&self) -> Vec<RowId> {
         self.attack_row.neighbours(1).collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   tREFI, and a copy of its starting table replaces it once it has
 //!   doubled. A per-REF cost that grows with the table shows here.
 
-use mint_core::{Dmq, InDramTracker, Mint, MintConfig, MintRfm};
+use mint_core::{Dmq, InDramTracker, Mint, MintConfig};
 use mint_dram::RowId;
 use mint_exp::stopwatch::{black_box, Runner};
 use mint_rng::Xoshiro256StarStar;
@@ -70,7 +70,6 @@ fn main() {
 
     let mut mint = Mint::new(MintConfig::ddr5_default(), &mut rng);
     let mut dmq = Dmq::new(Mint::new(MintConfig::ddr5_default(), &mut rng), 73);
-    let mut rfm = MintRfm::new(16, &mut rng);
     let mut para = InDramPara::new(1.0 / 73.0);
     let mut para_no = InDramParaNoOverwrite::new(1.0 / 73.0);
     let mut parfm = Parfm::new(73);
@@ -84,7 +83,6 @@ fn main() {
     let mut cases: Vec<(&str, &mut dyn InDramTracker)> = vec![
         ("MINT", &mut mint),
         ("MINT+DMQ", &mut dmq),
-        ("MINT+RFM16", &mut rfm),
         ("InDRAM-PARA", &mut para),
         ("InDRAM-PARA-NoOverwrite", &mut para_no),
         ("PARFM", &mut parfm),

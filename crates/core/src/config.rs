@@ -1,6 +1,6 @@
 //! MINT configuration.
 
-use mint_dram::{MitigationRate, SecurityParams};
+use mint_dram::DdrTimings;
 
 /// Configuration of a [`Mint`](crate::Mint) tracker.
 ///
@@ -28,11 +28,12 @@ pub struct MintConfig {
 }
 
 impl MintConfig {
-    /// The paper's default: 73 slots + the transitive slot (§V-E).
+    /// The paper's default: MaxACT = 73 slots of DDR5-5200B
+    /// ([`DdrTimings::max_act`]) + the transitive slot (§V-E).
     #[must_use]
     pub fn ddr5_default() -> Self {
         Self {
-            window_slots: 73,
+            window_slots: DdrTimings::ddr5_5200b().max_act(),
             transitive: true,
         }
     }
@@ -60,24 +61,6 @@ impl MintConfig {
         }
     }
 
-    /// Half-rate MINT (one mitigation per two tREFI, Table V row 1).
-    #[must_use]
-    pub fn half_rate() -> Self {
-        Self {
-            window_slots: 146,
-            transitive: true,
-        }
-    }
-
-    /// Derives the window size from full device security parameters.
-    #[must_use]
-    pub fn from_params(p: &SecurityParams) -> Self {
-        Self {
-            window_slots: p.window_slots(),
-            transitive: true,
-        }
-    }
-
     /// Number of distinct SAN values: `window_slots + 1` with the transitive
     /// slot, else `window_slots`. The per-activation selection probability is
     /// `1 / selection_span()` (1/74 for the default — this is the `p` used
@@ -85,18 +68,6 @@ impl MintConfig {
     #[must_use]
     pub fn selection_span(&self) -> u32 {
         self.window_slots + u32::from(self.transitive)
-    }
-
-    /// The corresponding device-level mitigation rate descriptor.
-    #[must_use]
-    pub fn mitigation_rate(&self, max_act: u32) -> MitigationRate {
-        if self.window_slots == max_act {
-            MitigationRate::OnePerRefi
-        } else if self.window_slots == 2 * max_act {
-            MitigationRate::OnePerTwoRefi
-        } else {
-            MitigationRate::PerActivations(self.window_slots)
-        }
     }
 }
 
@@ -133,34 +104,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn rfm_zero_rejected() {
         let _ = MintConfig::rfm(0);
-    }
-
-    #[test]
-    fn half_rate_spans_147() {
-        assert_eq!(MintConfig::half_rate().selection_span(), 147);
-    }
-
-    #[test]
-    fn rate_descriptor_round_trip() {
-        use mint_dram::MitigationRate;
-        assert_eq!(
-            MintConfig::ddr5_default().mitigation_rate(73),
-            MitigationRate::OnePerRefi
-        );
-        assert_eq!(
-            MintConfig::half_rate().mitigation_rate(73),
-            MitigationRate::OnePerTwoRefi
-        );
-        assert_eq!(
-            MintConfig::rfm(32).mitigation_rate(73),
-            MitigationRate::PerActivations(32)
-        );
-    }
-
-    #[test]
-    fn from_params_uses_window() {
-        use mint_dram::{MitigationRate, SecurityParams};
-        let p = SecurityParams::ddr5_default().with_rate(MitigationRate::PerActivations(16));
-        assert_eq!(MintConfig::from_params(&p).window_slots, 16);
     }
 }

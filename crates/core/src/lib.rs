@@ -13,9 +13,10 @@
 //!   that makes any low-cost tracker compatible with DDR5 refresh
 //!   postponement by converting the tracker's window from REF-synchronised
 //!   to activation-counted.
-//! * [`MintRfm`] — the MINT+RFM co-design (§VII): mitigation windows of
-//!   RFM-threshold activations (32 or 16), roughly doubling or quadrupling
-//!   the mitigation rate.
+//! * MINT+RFM (§VII) is [`Mint`] over [`MintConfig::rfm`]: the window
+//!   shrinks to the RFM threshold (32 or 16 activations), and the memory
+//!   controller issues an RFM, a mitigation opportunity, each time a bank's
+//!   rolling activation count reaches it.
 //! * [`RowPressMint`] — the Appendix C extension: a fixed-point CAN register
 //!   that weighs each activation by its ImPress *equivalent activation
 //!   count*, tolerating Row-Press without affecting the MinTRH.
@@ -52,7 +53,6 @@ mod config;
 mod cursor;
 mod dmq;
 mod mint;
-mod rfm;
 mod rowpress;
 mod tracker;
 
@@ -60,6 +60,5 @@ pub use config::MintConfig;
 pub use cursor::StateCursor;
 pub use dmq::{Dmq, DMQ_ENTRIES};
 pub use mint::Mint;
-pub use rfm::MintRfm;
 pub use rowpress::{eact_fixed_point, RowPressMint, EACT_FRAC_BITS};
 pub use tracker::{InDramTracker, MitigationDecision};

@@ -291,31 +291,35 @@ mod tests {
 
     #[test]
     fn selection_probability_uniform_over_positions() {
-        // Hammer position k only; hit rate must be 1/74 for every k.
-        for &k in &[1u32, 20, 37, 73] {
-            let mut r = rng(1000 + u64::from(k));
-            let mut mint = Mint::new(MintConfig::ddr5_default(), &mut r);
-            let trials = 40_000;
-            let mut hits = 0;
-            for _ in 0..trials {
-                for slot in 1..=73 {
-                    let row = if slot == k {
-                        RowId(5)
-                    } else {
-                        RowId(1_000 + slot)
-                    };
-                    mint.on_activation(row, &mut r);
+        // Hammer position k only; hit rate must be 1/span for every k: 1/74
+        // over the default 73-slot window, 1/33 over MINT+RFM32's 32 slots
+        // (the RFM ends the window as a REF does).
+        for (cfg, positions, tolerance) in [
+            (MintConfig::ddr5_default(), &[1, 20, 37, 73][..], 2.5e-3),
+            (MintConfig::rfm(32), &[1, 16, 32][..], 3e-3),
+        ] {
+            for &k in positions {
+                let mut r = rng(1000 + u64::from(k));
+                let mut mint = Mint::new(cfg, &mut r);
+                let trials = 40_000;
+                let mut hits = 0;
+                for _ in 0..trials {
+                    for slot in 1..=cfg.window_slots {
+                        let row = if slot == k { 5 } else { 1_000 + slot };
+                        mint.on_activation(RowId(row), &mut r);
+                    }
+                    if mint.on_refresh(&mut r).mitigates(RowId(5)) {
+                        hits += 1;
+                    }
                 }
-                if mint.on_refresh(&mut r).mitigates(RowId(5)) {
-                    hits += 1;
-                }
+                let rate = f64::from(hits) / f64::from(trials);
+                let expect = 1.0 / f64::from(cfg.selection_span());
+                assert!(
+                    (rate - expect).abs() < tolerance,
+                    "{} slots, position {k}: rate {rate} vs {expect}",
+                    cfg.window_slots
+                );
             }
-            let rate = f64::from(hits) / f64::from(trials);
-            let expect = 1.0 / 74.0;
-            assert!(
-                (rate - expect).abs() < 2.5e-3,
-                "position {k}: rate {rate} vs {expect}"
-            );
         }
     }
 

@@ -4,9 +4,10 @@
 //! reproduction. It models exactly the part of a DRAM device that matters to
 //! the paper's analysis:
 //!
-//! * **Timing parameters** ([`DdrTimings`], paper Table I) and the derived
-//!   security parameters ([`SecurityParams`]) — most importantly `MaxACT`,
-//!   the number of activations that fit in one tREFI (73 for DDR5-5200B).
+//! * **Timing parameters** ([`DdrTimings`], paper Table I) — most
+//!   importantly `MaxACT`, the number of activations that fit in one tREFI
+//!   (73 for DDR5-5200B) — with the REFs per tREFW and rows per bank
+//!   ([`DDR5_REFI_PER_REFW`], [`DDR5_ROWS_PER_BANK`]).
 //! * **Per-row hammer accounting** ([`Bank`]) — every activation of a row
 //!   restores the row itself and adds one *hammer* to each neighbour within
 //!   the blast radius; refreshing a row clears its hammer count; a row whose
@@ -63,9 +64,7 @@ mod row;
 mod stats;
 
 pub use bank::{Bank, BankConfig, FailureRecord};
-pub use params::{
-    DdrTimings, MitigationRate, SecurityParams, DDR5_REFI_PER_REFW, DDR5_ROWS_PER_BANK,
-};
+pub use params::{DdrTimings, DDR5_REFI_PER_REFW, DDR5_ROWS_PER_BANK};
 pub use refresh::{RefreshEvent, RefreshPolicy, RefreshSchedule, MAX_POSTPONED_REFS};
 pub use row::RowId;
 pub use stats::BankStats;

@@ -1,6 +1,4 @@
-//! DDR5 timing parameters (paper Table I) and derived security parameters.
-
-use std::fmt;
+//! DDR5 timing parameters (paper Table I).
 
 /// Number of tREFI intervals per tREFW refresh window.
 ///
@@ -89,189 +87,11 @@ impl DdrTimings {
         );
         ((self.t_refi_ns - self.t_rfc_ns) / self.t_rc_ns).round() as u32
     }
-
-    /// Number of tREFI intervals in one tREFW window (the paper's 8192).
-    #[must_use]
-    pub fn refi_per_refw(&self) -> u32 {
-        DDR5_REFI_PER_REFW
-    }
-
-    /// tREFW expressed in seconds.
-    #[must_use]
-    pub fn t_refw_secs(&self) -> f64 {
-        self.t_refw_ns * 1e-9
-    }
 }
 
 impl Default for DdrTimings {
     fn default() -> Self {
         Self::ddr5_5200b()
-    }
-}
-
-/// How often the in-DRAM mitigation engine gets to act.
-///
-/// The paper's default is one mitigation per tREFI (§II-E); Table V also
-/// evaluates one per two tREFI and RFM-boosted rates where a mitigation
-/// opportunity arises every `N` activations (RFM32, RFM16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MitigationRate {
-    /// One mitigation at every REF (1× in Table V).
-    #[default]
-    OnePerRefi,
-    /// One mitigation every two REFs (0.5× in Table V).
-    OnePerTwoRefi,
-    /// RFM co-design: a mitigation opportunity every `rfm_th` activations
-    /// (≈`MaxACT / rfm_th`× in Table V; 32 → ≈2×, 16 → ≈4×).
-    PerActivations(u32),
-}
-
-impl MitigationRate {
-    /// The number of activation slots in one *mitigation window* — the
-    /// interval between two consecutive mitigation opportunities. MINT draws
-    /// its SAN uniformly over these slots (plus the transitive slot 0).
-    ///
-    /// For [`OnePerRefi`](Self::OnePerRefi) this is `MaxACT` (73);
-    /// for [`OnePerTwoRefi`](Self::OnePerTwoRefi) it is `2 × MaxACT` (146);
-    /// for RFM it is the RFM threshold itself.
-    #[must_use]
-    pub fn window_slots(&self, max_act: u32) -> u32 {
-        match *self {
-            MitigationRate::OnePerRefi => max_act,
-            MitigationRate::OnePerTwoRefi => 2 * max_act,
-            MitigationRate::PerActivations(n) => n,
-        }
-    }
-
-    /// Human-readable rate relative to the 1× baseline, e.g. `"1x"`, `"0.5x"`.
-    #[must_use]
-    pub fn label(&self, max_act: u32) -> String {
-        match *self {
-            MitigationRate::OnePerRefi => "1x (one per tREFI)".to_owned(),
-            MitigationRate::OnePerTwoRefi => "0.5x (one per two tREFI)".to_owned(),
-            MitigationRate::PerActivations(n) => {
-                format!("{:.0}x (RFM{})", max_act as f64 / n as f64, n)
-            }
-        }
-    }
-}
-
-/// The parameters the security analysis actually consumes, decoupled from raw
-/// nanosecond timings so that sweeps (e.g. Appendix A's MaxACT sweep) are
-/// expressed directly.
-///
-/// # Examples
-///
-/// ```
-/// use mint_dram::SecurityParams;
-/// let p = SecurityParams::ddr5_default();
-/// assert_eq!(p.max_act, 73);
-/// assert_eq!(p.refi_per_refw, 8192);
-/// assert_eq!(p.acts_per_refw(), 73 * 8192);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SecurityParams {
-    /// Maximum demand ACTs per tREFI (`M` in the paper; 73 by default).
-    pub max_act: u32,
-    /// tREFI intervals per tREFW window (8192).
-    pub refi_per_refw: u32,
-    /// Rows per bank (128K in Table VI).
-    pub rows_per_bank: u32,
-    /// Blast radius: victims refreshed on either side of an aggressor (1).
-    pub blast_radius: u32,
-    /// Mitigation opportunity rate.
-    pub rate: MitigationRate,
-    /// tREFW in seconds (needed to convert failure probability to MTTF).
-    pub t_refw_secs: f64,
-}
-
-impl SecurityParams {
-    /// The paper's default configuration (Table I + §II-E defaults).
-    #[must_use]
-    pub fn ddr5_default() -> Self {
-        let t = DdrTimings::ddr5_5200b();
-        Self {
-            max_act: t.max_act(),
-            refi_per_refw: t.refi_per_refw(),
-            rows_per_bank: DDR5_ROWS_PER_BANK,
-            blast_radius: 1,
-            rate: MitigationRate::OnePerRefi,
-            t_refw_secs: t.t_refw_secs(),
-        }
-    }
-
-    /// Builds security parameters from raw timings, with the remaining
-    /// fields at the paper defaults.
-    #[must_use]
-    pub fn from_timings(t: &DdrTimings) -> Self {
-        Self {
-            max_act: t.max_act(),
-            refi_per_refw: t.refi_per_refw(),
-            rows_per_bank: DDR5_ROWS_PER_BANK,
-            blast_radius: 1,
-            rate: MitigationRate::OnePerRefi,
-            t_refw_secs: t.t_refw_secs(),
-        }
-    }
-
-    /// Returns a copy with a different `MaxACT` (Appendix A sweep).
-    #[must_use]
-    pub fn with_max_act(mut self, max_act: u32) -> Self {
-        self.max_act = max_act;
-        self
-    }
-
-    /// Returns a copy with a different mitigation rate (Table V sweep).
-    #[must_use]
-    pub fn with_rate(mut self, rate: MitigationRate) -> Self {
-        self.rate = rate;
-        self
-    }
-
-    /// Total demand activation slots in one tREFW window.
-    #[must_use]
-    pub fn acts_per_refw(&self) -> u64 {
-        u64::from(self.max_act) * u64::from(self.refi_per_refw)
-    }
-
-    /// Slots per mitigation window at the configured rate.
-    #[must_use]
-    pub fn window_slots(&self) -> u32 {
-        self.rate.window_slots(self.max_act)
-    }
-
-    /// Rows auto-refreshed per tREFI (`rows_per_bank / refi_per_refw`,
-    /// minimum 1).
-    #[must_use]
-    pub fn auto_rows_per_refi(&self) -> u32 {
-        (self.rows_per_bank / self.refi_per_refw).max(1)
-    }
-
-    /// tREFW windows per year, for MTTF conversion.
-    #[must_use]
-    pub fn refw_per_year(&self) -> f64 {
-        const SECS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
-        SECS_PER_YEAR / self.t_refw_secs
-    }
-}
-
-impl Default for SecurityParams {
-    fn default() -> Self {
-        Self::ddr5_default()
-    }
-}
-
-impl fmt::Display for SecurityParams {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "SecurityParams {{ MaxACT={}, tREFI/tREFW={}, rows={}, blast={}, rate={} }}",
-            self.max_act,
-            self.refi_per_refw,
-            self.rows_per_bank,
-            self.blast_radius,
-            self.rate.label(self.max_act)
-        )
     }
 }
 
@@ -325,48 +145,5 @@ mod tests {
             ..DdrTimings::ddr5_5200b()
         };
         let _ = t.max_act();
-    }
-
-    #[test]
-    fn mitigation_rate_window_slots() {
-        assert_eq!(MitigationRate::OnePerRefi.window_slots(73), 73);
-        assert_eq!(MitigationRate::OnePerTwoRefi.window_slots(73), 146);
-        assert_eq!(MitigationRate::PerActivations(32).window_slots(73), 32);
-        assert_eq!(MitigationRate::PerActivations(16).window_slots(73), 16);
-    }
-
-    #[test]
-    fn rate_labels() {
-        assert!(MitigationRate::OnePerRefi.label(73).starts_with("1x"));
-        assert!(MitigationRate::OnePerTwoRefi.label(73).starts_with("0.5x"));
-        assert!(MitigationRate::PerActivations(32)
-            .label(73)
-            .contains("RFM32"));
-    }
-
-    #[test]
-    fn default_params_consistent() {
-        let p = SecurityParams::ddr5_default();
-        assert_eq!(p.acts_per_refw(), 598_016);
-        assert_eq!(p.auto_rows_per_refi(), 16);
-        assert_eq!(p.window_slots(), 73);
-        // ~985 million tREFW windows per year at 32 ms.
-        let per_year = p.refw_per_year();
-        assert!((9.8e8..9.95e8).contains(&per_year), "{per_year}");
-    }
-
-    #[test]
-    fn with_builders() {
-        let p = SecurityParams::ddr5_default()
-            .with_max_act(80)
-            .with_rate(MitigationRate::PerActivations(16));
-        assert_eq!(p.max_act, 80);
-        assert_eq!(p.window_slots(), 16);
-    }
-
-    #[test]
-    fn display_nonempty() {
-        let s = SecurityParams::ddr5_default().to_string();
-        assert!(s.contains("MaxACT=73"));
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::config::{MitigationScheme, SystemConfig};
 use mint_core::{InDramTracker, Mint, MintConfig, StateCursor};
-use mint_dram::SecurityParams;
+use mint_dram::{DdrTimings, DDR5_REFI_PER_REFW};
 use mint_rng::Rng64;
 use mint_trackers::{
     Graphene, GrapheneConfig, Mithril, MithrilConfig, Parfm, Prct, Pride, ProTrr, ProTrrConfig,
@@ -39,13 +39,13 @@ use mint_trackers::{
 /// security and performance layers cannot drift apart.
 #[must_use]
 pub fn max_act_per_trefi() -> u64 {
-    u64::from(SecurityParams::ddr5_default().max_act)
+    u64::from(DdrTimings::ddr5_5200b().max_act())
 }
 
 /// tREFI intervals per tREFW (DDR5: 8192), from `mint-dram`.
 #[must_use]
 pub fn refis_per_refw() -> u64 {
-    u64::from(SecurityParams::ddr5_default().refi_per_refw)
+    u64::from(DDR5_REFI_PER_REFW)
 }
 
 /// The Rowhammer threshold the MC-side Graphene is sized for — MINT's

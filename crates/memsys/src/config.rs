@@ -2,7 +2,7 @@
 //! knobs (bank-group topology, inter-bank timings, queue depth, blast
 //! radius).
 
-use mint_dram::DdrTimings;
+use mint_dram::{DdrTimings, DDR5_ROWS_PER_BANK};
 
 /// Rowhammer mitigation scheme under evaluation.
 ///
@@ -198,9 +198,10 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// Table VI: 4 cores @ 3 GHz, 32 banks, 16-16-16-48 ns timings, with
-    /// the §VIII DRFM/RFM latencies (410 ns / 205 ns). The inter-bank
-    /// constraints come from the canonical `mint-dram` DDR5-5200B values,
-    /// so the security and performance layers cannot drift apart.
+    /// the §VIII DRFM/RFM latencies (410 ns / 205 ns). tREFI, tRFC, tRC,
+    /// the inter-bank constraints and the rows per bank come from the
+    /// canonical `mint-dram` DDR5-5200B values, so the security and
+    /// performance layers cannot drift apart.
     #[must_use]
     pub fn table6() -> Self {
         let ps = |ns: f64| (ns * 1000.0).round() as u64;
@@ -220,9 +221,9 @@ impl SystemConfig {
             t_rcd_ps: 16_000,
             t_cl_ps: 16_000,
             t_rp_ps: 16_000,
-            t_rc_ps: 48_000,
-            t_refi_ps: 3_900_000,
-            t_rfc_ps: 410_000,
+            t_rc_ps: ps(t.t_rc_ns),
+            t_refi_ps: ps(t.t_refi_ns),
+            t_rfc_ps: ps(t.t_rfc_ns),
             t_rfm_ps: 205_000,
             t_drfm_ps: 410_000,
             t_rrd_s_ps: ps(t.t_rrd_s_ns),
@@ -230,7 +231,7 @@ impl SystemConfig {
             t_faw_ps: ps(t.t_faw_ns),
             t_ccd_s_ps: ps(t.t_ccd_s_ns),
             t_ccd_l_ps: ps(t.t_ccd_l_ns),
-            rows_per_bank: 128 * 1024,
+            rows_per_bank: DDR5_ROWS_PER_BANK,
         }
     }
 

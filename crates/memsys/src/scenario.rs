@@ -433,7 +433,7 @@ pub struct ScenarioGrid {
 pub enum SeedAxis {
     /// One explicit seed per workload.
     Explicit(Vec<u64>),
-    /// Workload `w` runs with `base + w` (the bench-suite convention).
+    /// Workload `w` runs with `base + w`, wrapping (the bench-suite convention).
     Base(u64),
 }
 
@@ -704,7 +704,11 @@ impl ScenarioGrid {
                 assert_eq!(self.workloads.len(), seeds.len(), "one seed per workload");
                 seeds.clone()
             }
-            SeedAxis::Base(base) => (0..self.workloads.len() as u64).map(|i| base + i).collect(),
+            // Wrapping, so a base near `u64::MAX` goes on from 0 in debug
+            // and release builds alike instead of panicking in debug.
+            SeedAxis::Base(base) => (0..self.workloads.len() as u64)
+                .map(|i| base.wrapping_add(i))
+                .collect(),
         };
         let cells: Vec<(usize, usize)> = (0..self.workloads.len())
             .flat_map(|w| (0..self.schemes.len()).map(move |s| (w, s)))

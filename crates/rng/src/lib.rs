@@ -134,17 +134,6 @@ pub trait Rng64 {
         self.gen_f64() < p
     }
 
-    /// Fills `out` with the next `out.len()` words of the stream, in
-    /// order — the batch form of [`next_u64`](Rng64::next_u64). The
-    /// draws are exactly the ones sequential calls would produce (pinned
-    /// by test), so batching callers (prefilled request rings, bulk
-    /// Monte-Carlo draws) stay bit-identical to one-at-a-time callers.
-    fn fill_u64s(&mut self, out: &mut [u64]) {
-        for slot in out {
-            *slot = self.next_u64();
-        }
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     ///
     /// Not available on `dyn Rng64` (generic method); shuffle before erasing
@@ -271,29 +260,6 @@ mod tests {
         for stream in 0..1000 {
             assert!(seen.insert(derive_seed(99, stream)));
         }
-    }
-
-    #[test]
-    fn fill_u64s_matches_sequential_draws() {
-        // The batch API must be a pure transcription of the sequential
-        // stream, for both generators (batching callers depend on this
-        // for bit-identical results).
-        let mut batch = Xoshiro256StarStar::seed_from_u64(11);
-        let mut seq = Xoshiro256StarStar::seed_from_u64(11);
-        let mut buf = [0u64; 37];
-        batch.fill_u64s(&mut buf);
-        for (i, &b) in buf.iter().enumerate() {
-            assert_eq!(b, seq.next_u64(), "xoshiro word {i}");
-        }
-        let mut batch = SplitMix64::new(23);
-        let mut seq = SplitMix64::new(23);
-        let mut buf = [0u64; 37];
-        batch.fill_u64s(&mut buf);
-        for (i, &b) in buf.iter().enumerate() {
-            assert_eq!(b, seq.next_u64(), "splitmix word {i}");
-        }
-        // And the two generators continue identically afterwards.
-        assert_eq!(batch.next_u64(), seq.next_u64());
     }
 
     #[test]

@@ -29,6 +29,9 @@
 //!   every [`CHUNK`] requests, without forking a thread per job or
 //!   checkpointing the session; the answer is the batch run's, bit for
 //!   bit.
+//! * **No host files** — a cell whose frontend is a `trace = <path>`
+//!   answers `ok:false` before anything opens the path; batch
+//!   `run_scenario` still replays traces.
 //! * **Graceful drain** — EOF or a `shutdown` envelope stops intake;
 //!   queued jobs still run and stream their results before
 //!   [`Service::serve`] returns. Over a socket, `shutdown` also stops
@@ -52,7 +55,7 @@ use std::sync::{mpsc, OnceLock};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mint_memsys::{parse_any, Scenario, SystemConfig};
+use mint_memsys::{parse_any, Scenario, ScenarioFrontend, SystemConfig};
 use mint_obs::{Log2Histogram, Section, TelemetryReport};
 use mint_rng::derive_seed;
 use wire::Envelope;
@@ -83,7 +86,7 @@ pub struct ServeStats {
     /// Jobs a worker finished (success or error line emitted).
     pub jobs_completed: u64,
     /// Jobs answered with an error of their spec (it does not parse,
-    /// build or fit the cores).
+    /// build or fit the cores, or it names a trace file).
     pub jobs_failed: u64,
     /// Jobs a cancel stopped, queued or running.
     pub jobs_cancelled: u64,
@@ -128,7 +131,8 @@ impl ServeStats {
 /// Why a job answers `ok:false`.
 #[derive(Debug)]
 enum JobError {
-    /// The spec's own error: it does not parse, build or fit.
+    /// The spec's own error: it does not parse, build or fit, or it
+    /// names a trace file.
     Failed(String),
     Cancelled,
     /// The `timeout_ms` budget, spent.
@@ -488,6 +492,14 @@ fn run_job(job: &Job) -> Result<String, JobError> {
     };
     let answer = match scenario {
         Scenario::Cell(mut spec) => {
+            // A trace names a file on the service's host, and a parse
+            // error would echo its lines: refuse it before anything opens
+            // the path.
+            if let ScenarioFrontend::Trace(_) = spec.frontend {
+                return Err(JobError::Failed(
+                    "the service reads no trace files: give a `workload`".to_owned(),
+                ));
+            }
             if let Some(base) = job.seed_base {
                 spec.seed = derive_seed(base, job.id);
             }
@@ -900,6 +912,31 @@ mod tests {
                 "{stats}"
             );
         }
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(answers.next().is_none());
+        stop_unix(&path, server);
+    }
+
+    #[test]
+    fn a_served_trace_is_refused_before_its_file_is_read() {
+        let (path, server) = start_unix("trace", 1);
+        // A host file whose first line the trace parser would echo in
+        // its error, were the service to open it.
+        let marker = "host-only-line-5e1f";
+        let file = path.with_file_name("host.trace");
+        std::fs::write(&file, format!("{marker}\n")).unwrap();
+        let spec = format!("scheme = mint\ntrace = {}", file.display());
+        let mut stream = UnixStream::connect(&path).unwrap();
+        let mut answers = BufReader::new(stream.try_clone().unwrap()).lines();
+        writeln!(stream, "{}", submit(1, &spec)).unwrap();
+        let answer = answers.next().unwrap().unwrap();
+        assert!(
+            answer.contains("\"ok\":false") && !answer.contains(marker),
+            "{answer}"
+        );
+        writeln!(stream, "{}", Envelope::Stats { id: 2 }.to_line()).unwrap();
+        let stats = answers.next().unwrap().unwrap();
+        assert!(stats.contains("mint_serve_jobs_failed 1\\n"), "{stats}");
         stream.shutdown(std::net::Shutdown::Write).unwrap();
         assert!(answers.next().is_none());
         stop_unix(&path, server);

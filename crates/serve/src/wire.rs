@@ -45,12 +45,14 @@ pub enum Envelope {
         /// When present, the job runs with `derive_seed(seed_base, id)`
         /// instead of the spec's own seed (cells only).
         seed_base: Option<u64>,
-        /// When present, a cell job is abandoned once it has run this
-        /// long (checked at every chunk boundary).
+        /// When present, the job (cell or grid) is abandoned once it has
+        /// run this long, checked before its first decision and every
+        /// [`CHUNK`](crate::CHUNK) requests of each cell.
         timeout_ms: Option<u64>,
     },
     /// Request cancellation of job `id` on this connection: queued jobs
-    /// are dropped, a running cell job stops at its next chunk boundary.
+    /// are dropped, and a running cell or grid job stops at its next
+    /// [`CHUNK`](crate::CHUNK)-request poll.
     /// A cancel is acknowledged either way, but one for an id with no
     /// queued or running job on this connection does nothing.
     Cancel {

@@ -2,7 +2,7 @@
 
 use mint_attacks::AccessPattern;
 use mint_core::{InDramTracker, MitigationDecision};
-use mint_dram::{Bank, BankConfig, FailureRecord, RefreshPolicy};
+use mint_dram::{Bank, BankConfig, DdrTimings, FailureRecord, RefreshPolicy};
 use mint_exp::par_map;
 use mint_rng::{derive_seed, Rng64, Xoshiro256StarStar};
 
@@ -26,13 +26,14 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's default device with a full-size bank and timely refresh.
+    /// The paper's default device (`mint-dram`'s DDR5-5200B: MaxACT 73,
+    /// 8192 tREFI per tREFW, 128K rows per bank) with timely refresh.
     #[must_use]
     pub fn ddr5_default() -> Self {
         Self {
-            max_act: 73,
-            refi_per_refw: 8192,
-            bank_rows: 128 * 1024,
+            max_act: DdrTimings::ddr5_5200b().max_act(),
+            refi_per_refw: mint_dram::DDR5_REFI_PER_REFW,
+            bank_rows: mint_dram::DDR5_ROWS_PER_BANK,
             blast_radius: 1,
             trh: None,
             refresh_policy: RefreshPolicy::Timely,

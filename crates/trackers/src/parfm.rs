@@ -118,7 +118,6 @@ impl InDramTracker for Parfm {
 
     /// `[overflow, len, rows…]` in buffer order (order matters: mitigation
     /// indexes the buffer with an RNG draw).
-    /// `[overflow, len, row…]` — the buffer in its RNG-indexed order.
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
         c.u64(&mut self.overflow)?;
         let len = c.count(self.buffer.len(), self.capacity, "PARFM buffer")?;

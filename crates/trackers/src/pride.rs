@@ -121,7 +121,6 @@ impl InDramTracker for Pride {
     }
 
     /// `[lost, len, rows…]` in FIFO order (head first).
-    /// `[lost, len, row…]` — the FIFO oldest first.
     fn walk_state(&mut self, c: &mut StateCursor) -> Result<(), String> {
         c.u64(&mut self.lost)?;
         let len = c.count(self.fifo.len(), self.capacity, "PrIDE FIFO")?;

@@ -64,3 +64,48 @@ pub use mint_rng as rng;
 pub use mint_serve as serve;
 pub use mint_sim as sim;
 pub use mint_trackers as trackers;
+
+/// MINT+RFM as Table V models it and as the simulator runs it.
+#[cfg(test)]
+mod rfm {
+    mod tests {
+        use crate::analysis::ada::AdaConfig;
+        use crate::core::{InDramTracker, Mint, MintConfig};
+        use crate::dram::RowId;
+        use crate::rng::Xoshiro256StarStar;
+
+        #[test]
+        fn selection_probability_is_one_over_span() {
+            // Table V's MINT+RFM rows assume each hammer is selected with
+            // probability 1/span (1/33 for RFM32, 1/17 for RFM16). The
+            // tracker they stand for is `Mint` over `MintConfig::rfm`, whose
+            // window the RFM ends as a REF does; the attack row takes one
+            // slot per window.
+            for th in [32u32, 16] {
+                let model = AdaConfig::rfm(th);
+                let cfg = MintConfig::rfm(th);
+                assert_eq!(cfg.selection_span(), model.span, "RFM{th}");
+                let mut r = Xoshiro256StarStar::seed_from_u64(4 + u64::from(th));
+                let mut mint = Mint::new(cfg, &mut r);
+                let trials = 60_000u32;
+                let mut hits = 0u32;
+                for _ in 0..trials {
+                    mint.on_activation(RowId(9), &mut r);
+                    for i in 1..th {
+                        mint.on_activation(RowId(100 + i), &mut r);
+                    }
+                    if mint.on_refresh(&mut r).mitigates(RowId(9)) {
+                        hits += 1;
+                    }
+                }
+                let rate = f64::from(hits) / f64::from(trials);
+                let p = model.p();
+                let sigma = (p * (1.0 - p) / f64::from(trials)).sqrt();
+                assert!(
+                    (rate - p).abs() < 4.0 * sigma,
+                    "RFM{th}: rate {rate} vs {p}"
+                );
+            }
+        }
+    }
+}

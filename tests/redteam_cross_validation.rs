@@ -69,9 +69,6 @@ impl AccessPattern for Truncated {
     fn target_victims(&self) -> Vec<RowId> {
         self.inner.target_victims()
     }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
 }
 
 fn redteam_config() -> RedteamConfig {

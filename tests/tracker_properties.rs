@@ -4,9 +4,7 @@
 //! Cases are generated by the deterministic `mint_exp::prop` driver — case
 //! `i` of a suite replays from `derive_seed(suite_seed, i)`.
 
-use mint_rh::core::{
-    Dmq, InDramTracker, Mint, MintConfig, MintRfm, MitigationDecision, RowPressMint,
-};
+use mint_rh::core::{Dmq, InDramTracker, Mint, MintConfig, MitigationDecision, RowPressMint};
 use mint_rh::dram::RowId;
 use mint_rh::exp::prop::{forall, u64_in, usize_in, vec_u32};
 use mint_rh::rng::{Rng64, Xoshiro256StarStar};
@@ -25,7 +23,7 @@ fn all_trackers(rng: &mut dyn Rng64) -> Vec<Box<dyn InDramTracker>> {
             rng,
         )),
         Box::new(Dmq::new(Mint::new(MintConfig::ddr5_default(), rng), 73)),
-        Box::new(MintRfm::new(32, rng)),
+        Box::new(Mint::new(MintConfig::rfm(32), rng)),
         Box::new(RowPressMint::new(
             MintConfig::ddr5_default(),
             48.0,
